@@ -9,7 +9,7 @@
 // `--json=PATH` additionally writes the measured per-ISA kernel roofline
 // (docs/kernels.md): one "kernel_tiers" row per SIMD tier this machine can
 // run — portable first, so the vector rows read as speedup_vs_portable —
-// plus a "mixed" row for the bf16 backend with its scale-relative ULP
+// plus a "mixed" row for the bf16 GEMM with its scale-relative ULP
 // distance from fp32. The CI bench-smoke job asserts these sections.
 #include <algorithm>
 #include <cmath>

@@ -1,18 +1,18 @@
 // Micro-benchmarks (google-benchmark) for the execution kernels: complex
 // GEMM across square and narrow shapes (§5.1: narrow GEMM collapses to a
 // bandwidth problem), permutation strategies (§5.3.1 map reduction), the
-// gather/scatter slice primitives, the device backends (host / blocked /
-// simd) behind the src/device/ registry, and the raw SIMD dispatch tiers
-// (portable scalar vs every vector tier this CPU supports — the
-// "vectorized cgemm beats scalar" check lives here).
+// gather/scatter slice primitives, and the SIMD dispatch tiers (portable
+// scalar vs every vector tier this CPU supports — the "vectorized cgemm
+// beats scalar" check lives here).
 //
 // `--device-compare=PATH` skips the google-benchmark suite and instead
-// emits a fig12-style JSON comparison of the host, blocked and simd
-// backends over gemm/permute shapes, asserting bitwise equality of every
-// fp32 output, plus a "mixed" section measuring the bf16 backend against
-// fp32 in scale-relative ULPs (util::ulp_distance_at_scale — the
-// --compare-mode=ulp:<N> metric; docs/kernels.md). The CI bench-smoke job
-// validates the emitted flags.
+// emits a fig12-style JSON comparison of every tier this machine runs
+// against the reference kernels (exec::cgemm / exec::permute) over
+// gemm/permute shapes, asserting bitwise equality of every fp32 output,
+// plus a "mixed" section checking each tier's bf16 GEMM bitwise against
+// the portable bf16 chain and in scale-relative ULPs against fp32
+// (util::ulp_distance_at_scale — the --compare-mode=ulp:<N> metric;
+// docs/kernels.md). The CI bench-smoke job validates the emitted flags.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -21,7 +21,6 @@
 #include <functional>
 #include <string>
 
-#include "device/backend.hpp"
 #include "device/cpu_probe.hpp"
 #include "exec/contract.hpp"
 #include "exec/gemm.hpp"
@@ -136,36 +135,6 @@ void BM_SliceGather(benchmark::State& state) {
 }
 BENCHMARK(BM_SliceGather)->Arg(12)->Arg(16)->Arg(20);
 
-// Device-backend GEMM: same shapes as BM_GemmSquare through the registry's
-// blocked backend (packed panels + L2 column blocking).
-void BM_GemmBlockedBackend(benchmark::State& state) {
-  const int n = int(state.range(0));
-  auto backend = device::make_backend("blocked");
-  auto a = random_buf(size_t(n) * n, 1), b = random_buf(size_t(n) * n, 2);
-  std::vector<cfloat> c(size_t(n) * n);
-  for (auto _ : state) {
-    backend->gemm(n, n, n, a.data(), b.data(), c.data(), nullptr, nullptr);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.counters["flops"] = benchmark::Counter(exec::gemm_flops(n, n, n),
-                                               benchmark::Counter::kIsIterationInvariantRate);
-}
-BENCHMARK(BM_GemmBlockedBackend)->Arg(16)->Arg(64)->Arg(128)->Arg(256);
-
-void BM_GemmSimdBackend(benchmark::State& state) {
-  const int n = int(state.range(0));
-  auto backend = device::make_backend("simd");
-  auto a = random_buf(size_t(n) * n, 1), b = random_buf(size_t(n) * n, 2);
-  std::vector<cfloat> c(size_t(n) * n);
-  for (auto _ : state) {
-    backend->gemm(n, n, n, a.data(), b.data(), c.data(), nullptr, nullptr);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.counters["flops"] = benchmark::Counter(exec::gemm_flops(n, n, n),
-                                               benchmark::Counter::kIsIterationInvariantRate);
-}
-BENCHMARK(BM_GemmSimdBackend)->Arg(16)->Arg(64)->Arg(128)->Arg(256);
-
 // Every SIMD tier THIS machine can run (hardware-clamped; the full
 // compiled set is in exec::compiled_isa_tiers()). Portable is always
 // first, so the later tiers read as speedups over the scalar chain.
@@ -182,8 +151,7 @@ std::vector<exec::IsaTier> runnable_tiers() {
   return out;
 }
 
-// Raw per-tier cgemm_simd (no registry indirection): the scalar-vs-vector
-// comparison. Registered dynamically in main() — the tier list depends on
+// Raw per-tier cgemm_simd: the scalar-vs-vector comparison. Registered dynamically in main() — the tier list depends on
 // the machine running the suite.
 void tier_gemm_bench(benchmark::State& state, exec::IsaTier tier, exec::Precision prec) {
   const int n = int(state.range(0));
@@ -214,7 +182,7 @@ void BM_ContractTTGT(benchmark::State& state) {
 }
 BENCHMARK(BM_ContractTTGT)->Arg(10)->Arg(14)->Arg(18);
 
-// --- host-vs-blocked device comparison (fig12-style JSON) ------------------
+// --- per-tier comparison against the reference kernels (fig12-style JSON) --
 
 double best_of(int reps, const std::function<void()>& fn) {
   double best = 1e300;
@@ -226,12 +194,13 @@ double best_of(int reps, const std::function<void()>& fn) {
   return best;
 }
 
+bool same_bits(const cfloat* x, const cfloat* y, size_t n) {
+  return std::memcmp(x, y, n * sizeof(cfloat)) == 0;
+}
+
 int run_device_compare(const char* path) {
   obs::Tracer::instance().enable(0);  // the compare run's kernel timeline
-  auto host = device::make_backend("host");
-  auto blocked = device::make_backend("blocked");
-  auto simd = device::make_backend("simd");
-  auto bf16 = device::make_backend("simd+bf16");
+  const auto tiers = runnable_tiers();
   const std::string isa = exec::isa_name(device::cpu_probe().active);
   FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
@@ -245,39 +214,41 @@ int run_device_compare(const char* path) {
   // units, with headroom for cancellation).
   const int64_t kMixedUlpBound = int64_t(1) << 18;
   std::fprintf(f,
-               "{\n  \"figure\": \"kernels_micro device comparison (fig12-style)\",\n"
-               "  \"backends\": [\"host\", \"blocked\", \"simd\"],\n"
-               "  \"active_isa\": \"%s\",\n  \"gemm\": [",
-               isa.c_str());
+               "{\n  \"figure\": \"kernels_micro per-tier comparison (fig12-style)\",\n"
+               "  \"reference\": \"exec::cgemm / exec::permute\",\n  \"tiers\": [");
+  for (size_t i = 0; i < tiers.size(); ++i)
+    std::fprintf(f, "%s\"%s\"", i ? ", " : "", exec::isa_name(tiers[i]));
+  std::fprintf(f, "],\n  \"active_isa\": \"%s\",\n  \"gemm\": [", isa.c_str());
   const struct { int m, n, k; } shapes[] = {
       {64, 64, 64}, {128, 128, 128}, {256, 256, 256}, {4096, 4, 4}, {33, 65, 300},
+  };
+  auto gemm_timed = [](const auto& s, const std::function<void()>& fn) {
+    return best_of(5, [&] {
+      obs::TraceScope tr(obs::EventKind::kGemm, uint64_t(s.m) * uint64_t(s.n), uint64_t(s.k));
+      fn();
+    });
   };
   bool first = true;
   for (const auto& s : shapes) {
     auto a = random_buf(size_t(s.m) * s.k, 1), b = random_buf(size_t(s.k) * s.n, 2);
-    std::vector<cfloat> c1(size_t(s.m) * s.n), c2(size_t(s.m) * s.n), c3(size_t(s.m) * s.n);
-    const double th = best_of(5, [&] {
-      obs::TraceScope tr(obs::EventKind::kGemm, uint64_t(s.m) * uint64_t(s.n), uint64_t(s.k));
-      host->gemm(s.m, s.n, s.k, a.data(), b.data(), c1.data(), nullptr, nullptr);
-    });
-    const double tb = best_of(5, [&] {
-      obs::TraceScope tr(obs::EventKind::kGemm, uint64_t(s.m) * uint64_t(s.n), uint64_t(s.k));
-      blocked->gemm(s.m, s.n, s.k, a.data(), b.data(), c2.data(), nullptr, nullptr);
-    });
-    const double ts = best_of(5, [&] {
-      obs::TraceScope tr(obs::EventKind::kGemm, uint64_t(s.m) * uint64_t(s.n), uint64_t(s.k));
-      simd->gemm(s.m, s.n, s.k, a.data(), b.data(), c3.data(), nullptr, nullptr);
-    });
-    const bool eq = std::memcmp(c1.data(), c2.data(), c1.size() * sizeof(cfloat)) == 0 &&
-                    std::memcmp(c1.data(), c3.data(), c1.size() * sizeof(cfloat)) == 0;
-    all_bitwise = all_bitwise && eq;
-    std::fprintf(f,
-                 "%s\n    {\"m\": %d, \"n\": %d, \"k\": %d, \"host_seconds\": %.9g, "
-                 "\"blocked_seconds\": %.9g, \"simd_seconds\": %.9g, \"speedup\": %.4g, "
-                 "\"simd_speedup\": %.4g, \"bitwise_equal\": %s}",
-                 first ? "" : ",", s.m, s.n, s.k, th, tb, ts, th / tb, th / ts,
-                 eq ? "true" : "false");
-    first = false;
+    std::vector<cfloat> want(size_t(s.m) * s.n), got(want.size());
+    const double tr =
+        gemm_timed(s, [&] { exec::cgemm(s.m, s.n, s.k, a.data(), b.data(), want.data()); });
+    for (auto tier : tiers) {
+      const double tt = gemm_timed(s, [&] {
+        exec::cgemm_simd(tier, exec::Precision::kFp32, s.m, s.n, s.k, a.data(), b.data(),
+                         got.data());
+      });
+      const bool eq = same_bits(want.data(), got.data(), want.size());
+      all_bitwise = all_bitwise && eq;
+      std::fprintf(f,
+                   "%s\n    {\"m\": %d, \"n\": %d, \"k\": %d, \"tier\": \"%s\", "
+                   "\"reference_seconds\": %.9g, \"seconds\": %.9g, \"speedup\": %.4g, "
+                   "\"bitwise_equal\": %s}",
+                   first ? "" : ",", s.m, s.n, s.k, exec::isa_name(tier), tr, tt, tr / tt,
+                   eq ? "true" : "false");
+      first = false;
+    }
   }
   std::fprintf(f, "\n  ],\n  \"permute\": [");
   first = true;
@@ -287,65 +258,67 @@ int run_device_compare(const char* path) {
     order = ixs;
     std::reverse(order.begin(), order.end());
     auto t = exec::random_tensor(ixs, 5);
-    exec::Tensor p1, p2, p3;
-    const double th = best_of(5, [&] {
-      obs::TraceScope tr(obs::EventKind::kPermute, uint64_t(t.size()));
-      p1 = host->permute(t, order, nullptr);
-    });
-    const double tb = best_of(5, [&] {
-      obs::TraceScope tr(obs::EventKind::kPermute, uint64_t(t.size()));
-      p2 = blocked->permute(t, order, nullptr);
-    });
-    const double ts = best_of(5, [&] {
-      obs::TraceScope tr(obs::EventKind::kPermute, uint64_t(t.size()));
-      p3 = simd->permute(t, order, nullptr);
-    });
-    const bool eq = p1.ixs() == p2.ixs() && p1.ixs() == p3.ixs() &&
-                    std::memcmp(p1.raw(), p2.raw(), p1.size() * sizeof(cfloat)) == 0 &&
-                    std::memcmp(p1.raw(), p3.raw(), p1.size() * sizeof(cfloat)) == 0;
-    all_bitwise = all_bitwise && eq;
-    std::fprintf(f,
-                 "%s\n    {\"rank\": %d, \"host_seconds\": %.9g, \"blocked_seconds\": %.9g, "
-                 "\"simd_seconds\": %.9g, \"speedup\": %.4g, \"simd_speedup\": %.4g, "
-                 "\"bitwise_equal\": %s}",
-                 first ? "" : ",", rank, th, tb, ts, th / tb, th / ts, eq ? "true" : "false");
-    first = false;
+    exec::Tensor want, got;
+    auto permute_timed = [&](const std::function<void()>& fn) {
+      return best_of(5, [&] {
+        obs::TraceScope tr(obs::EventKind::kPermute, uint64_t(t.size()));
+        fn();
+      });
+    };
+    const double tr = permute_timed([&] { want = exec::permute(t, order); });
+    for (auto tier : tiers) {
+      const double tt = permute_timed([&] { got = exec::permute_simd(tier, t, order); });
+      const bool eq = want.ixs() == got.ixs() && same_bits(want.raw(), got.raw(), want.size());
+      all_bitwise = all_bitwise && eq;
+      std::fprintf(f,
+                   "%s\n    {\"rank\": %d, \"tier\": \"%s\", \"reference_seconds\": %.9g, "
+                   "\"seconds\": %.9g, \"speedup\": %.4g, \"bitwise_equal\": %s}",
+                   first ? "" : ",", rank, exec::isa_name(tier), tr, tt, tr / tt,
+                   eq ? "true" : "false");
+      first = false;
+    }
   }
-  // Mixed precision: the bf16 backend against the fp32 host reference, in
-  // scale-relative ULPs. bf16 must DIFFER from fp32 (max_ulp > 0 proves
-  // the rounding engaged) while staying under the corpus-scale bound.
+  // Mixed precision: every tier's bf16 GEMM must equal the portable bf16
+  // chain bitwise (determinism) and sit within the scale-relative ULP bound
+  // of the fp32 reference. bf16 must DIFFER from fp32 (max_ulp > 0 proves
+  // the rounding engaged).
   std::fprintf(f, "\n  ],\n  \"mixed\": [");
   first = true;
   for (const auto& s : shapes) {
     auto a = random_buf(size_t(s.m) * s.k, 1), b = random_buf(size_t(s.k) * s.n, 2);
-    std::vector<cfloat> c1(size_t(s.m) * s.n), cm(size_t(s.m) * s.n);
-    host->gemm(s.m, s.n, s.k, a.data(), b.data(), c1.data(), nullptr, nullptr);
-    const double tm = best_of(5, [&] {
-      obs::TraceScope tr(obs::EventKind::kGemm, uint64_t(s.m) * uint64_t(s.n), uint64_t(s.k));
-      bf16->gemm(s.m, s.n, s.k, a.data(), b.data(), cm.data(), nullptr, nullptr);
-    });
+    std::vector<cfloat> ref(size_t(s.m) * s.n), chain(ref.size()), cm(ref.size());
+    exec::cgemm(s.m, s.n, s.k, a.data(), b.data(), ref.data());
+    exec::cgemm_simd(exec::IsaTier::kPortable, exec::Precision::kBf16, s.m, s.n, s.k, a.data(),
+                     b.data(), chain.data());
     float scale = 0;
-    for (const auto& v : c1) scale = std::max({scale, std::abs(v.real()), std::abs(v.imag())});
-    int64_t max_ulp = 0;
-    for (size_t i = 0; i < c1.size(); ++i) {
-      max_ulp = std::max(
-          max_ulp, util::ulp_distance_at_scale(c1[i].real(), cm[i].real(), scale));
-      max_ulp = std::max(
-          max_ulp, util::ulp_distance_at_scale(c1[i].imag(), cm[i].imag(), scale));
+    for (const auto& v : ref) scale = std::max({scale, std::abs(v.real()), std::abs(v.imag())});
+    for (auto tier : tiers) {
+      const double tm = gemm_timed(s, [&] {
+        exec::cgemm_simd(tier, exec::Precision::kBf16, s.m, s.n, s.k, a.data(), b.data(),
+                         cm.data());
+      });
+      int64_t max_ulp = 0;
+      for (size_t i = 0; i < ref.size(); ++i) {
+        max_ulp = std::max(max_ulp, util::ulp_distance_at_scale(ref[i].real(), cm[i].real(), scale));
+        max_ulp = std::max(max_ulp, util::ulp_distance_at_scale(ref[i].imag(), cm[i].imag(), scale));
+      }
+      const bool eq = same_bits(chain.data(), cm.data(), chain.size());
+      const bool bounded = max_ulp > 0 && max_ulp <= kMixedUlpBound;
+      all_bitwise = all_bitwise && eq;
+      all_mixed_bounded = all_mixed_bounded && bounded;
+      std::fprintf(f,
+                   "%s\n    {\"m\": %d, \"n\": %d, \"k\": %d, \"tier\": \"%s\", "
+                   "\"bf16_seconds\": %.9g, \"max_ulp_at_scale\": %lld, \"ulp_bound\": %lld, "
+                   "\"within_bound\": %s, \"bitwise_equal_to_portable\": %s}",
+                   first ? "" : ",", s.m, s.n, s.k, exec::isa_name(tier), tm, (long long)max_ulp,
+                   (long long)kMixedUlpBound, bounded ? "true" : "false", eq ? "true" : "false");
+      first = false;
     }
-    const bool bounded = max_ulp > 0 && max_ulp <= kMixedUlpBound;
-    all_mixed_bounded = all_mixed_bounded && bounded;
-    std::fprintf(f,
-                 "%s\n    {\"m\": %d, \"n\": %d, \"k\": %d, \"bf16_seconds\": %.9g, "
-                 "\"max_ulp_at_scale\": %lld, \"ulp_bound\": %lld, \"within_bound\": %s}",
-                 first ? "" : ",", s.m, s.n, s.k, tm, (long long)max_ulp,
-                 (long long)kMixedUlpBound, bounded ? "true" : "false");
-    first = false;
   }
   std::fprintf(f, "\n  ],\n  \"all_bitwise_equal\": %s,\n  \"all_mixed_bounded\": %s\n}\n",
                all_bitwise ? "true" : "false", all_mixed_bounded ? "true" : "false");
   std::fclose(f);
-  std::printf("device comparison written to %s (isa=%s all_bitwise_equal=%s "
+  std::printf("per-tier comparison written to %s (isa=%s all_bitwise_equal=%s "
               "all_mixed_bounded=%s)\n",
               path, isa.c_str(), all_bitwise ? "true" : "false",
               all_mixed_bounded ? "true" : "false");
@@ -358,9 +331,10 @@ int run_device_compare(const char* path) {
       !obs::Tracer::instance().write_chrome_json("kernels_micro_trace.json", &obs_err))
     std::fprintf(stderr, "kernels_micro_trace.json: %s\n", obs_err.c_str());
   obs::MetricsRegistry reg;
-  reg.counter("ltns_bench_kernel_compares_total", double(sizeof(shapes) / sizeof(shapes[0])),
-              {{"kind", "gemm"}});
-  reg.counter("ltns_bench_kernel_compares_total", 3, {{"kind", "permute"}});
+  const double n_tiers = double(tiers.size());
+  reg.counter("ltns_bench_kernel_compares_total",
+              n_tiers * double(sizeof(shapes) / sizeof(shapes[0])), {{"kind", "gemm"}});
+  reg.counter("ltns_bench_kernel_compares_total", n_tiers * 3, {{"kind", "permute"}});
   reg.gauge("ltns_bench_all_bitwise_equal", all_bitwise ? 1 : 0);
   reg.gauge("ltns_bench_all_mixed_bounded", all_mixed_bounded ? 1 : 0, {{"isa", isa}});
   if (!reg.write_files("kernels_micro_metrics.json", &obs_err))

@@ -25,14 +25,12 @@
 //   --grain=N                    scheduler chunk size (tasks per deque pop)
 //   --processes=N                fork N shard processes (amp/sample; default 1)
 //   --workers=N                  scheduler width per process (default: hw/N)
-//   --backend=SPEC               device backend (host|blocked|simd|cuda, each
-//                                with an optional +fp32|+bf16 precision
-//                                suffix; default host; `--backend=help` lists
-//                                them with capabilities; fp32 backends are
-//                                bitwise identical by contract)
 //   --precision=fp32|bf16        GEMM operand precision (default fp32); bf16
 //                                keeps fp32 accumulation and is deterministic
-//                                but only ULP-close to fp32 (docs/kernels.md)
+//                                but only ULP-close to fp32 (docs/kernels.md).
+//                                The kernels' ISA tier is picked at runtime;
+//                                LTNS_FORCE_ISA=portable|avx2|avx512|neon
+//                                clamps it down (every tier, same bits)
 //   --elastic                    lease-based elastic sharding (straggler steal,
 //                                dead-worker requeue; amp/sample/coordinate)
 //   --lease=N                    tasks per lease (default: auto)
@@ -74,13 +72,15 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
 #include "api/simulator.hpp"
 #include "circuit/io.hpp"
 #include "core/planner.hpp"
-#include "device/backend.hpp"
+#include "device/cpu_probe.hpp"
 #include "dist/client.hpp"
 #include "dist/server.hpp"
 #include "dist/service.hpp"
@@ -117,9 +117,9 @@ struct RuntimeFlags {
   long long plan_cache = -1;
   long long result_cache = -1;
   bool cache_readonly = false;
-  std::string backend = "host";
-  bool backend_set = false;  // --backend given explicitly (worker override)
-  std::string precision = "fp32";
+  // Unset means fp32; `serve` refuses an explicit value (precision is per
+  // submitted job there).
+  std::optional<exec::Precision> precision;
   std::string trace_out;
   std::string metrics_out;
   double metrics_interval = 0;
@@ -149,22 +149,12 @@ const char* executor_name(exec::SliceExecutor e) {
   return "?";
 }
 
-// --precision folded into the backend spec: the spec string is the one
-// precision channel (api::effective_backend_spec does the same fold). Used
-// by the verbs that ship a backend string directly (coordinate / serve).
-std::string effective_backend() {
-  auto spec = device::parse_backend_spec(g_flags.backend);
-  if (g_flags.precision == "bf16") spec.precision = exec::Precision::kBf16;
-  return spec.spec();
-}
-
 api::SimulatorOptions make_sim_options() {
   api::SimulatorOptions opt;
   opt.plan.target_log2size = g_flags.target;
   opt.executor = g_flags.executor;
   opt.grain = g_flags.grain;
-  opt.backend = g_flags.backend;
-  opt.precision = g_flags.precision;
+  opt.precision = g_flags.precision.value_or(exec::Precision::kFp32);
   opt.sharding.processes = g_flags.processes;
   opt.sharding.workers_per_process = g_flags.workers;
   opt.sharding.elastic = g_flags.elastic;
@@ -206,38 +196,19 @@ std::vector<char*> parse_runtime_flags(int argc, char** argv) {
       }
     } else if (std::strncmp(argv[i], "--workers=", 10) == 0) {
       g_flags.workers = std::atoi(argv[i] + 10);
-    } else if (std::strncmp(argv[i], "--backend=", 10) == 0) {
-      g_flags.backend = argv[i] + 10;
-      g_flags.backend_set = true;
-      // `--backend=help` (or any unknown name) prints the full backend
-      // listing — capabilities, alignment, availability — instead of a
-      // bare error from deep inside the run.
-      if (g_flags.backend == "help" || g_flags.backend == "list") {
-        std::fputs(device::backend_help().c_str(), stdout);
-        std::exit(0);
-      }
-      // Validate the NAME part only: "simd+bf16" is a full spec, and
-      // parse_backend_spec rejects a bad precision suffix on its own.
-      bool known_and_available = false;
-      try {
-        const auto spec = device::parse_backend_spec(g_flags.backend);
-        for (const auto& b : device::available_backends())
-          if (b.name == spec.name) known_and_available = b.caps.available;
-      } catch (const std::invalid_argument& e) {
-        std::fprintf(stderr, "--backend: %s\n", e.what());
-        std::exit(64);
-      }
-      if (!known_and_available) {
-        std::fprintf(stderr, "unknown or unavailable --backend '%s'\n\n%s",
-                     g_flags.backend.c_str(), device::backend_help().c_str());
-        std::exit(64);
-      }
+    } else if (std::strncmp(argv[i], "--backend", 9) == 0 &&
+               (argv[i][9] == '\0' || argv[i][9] == '=')) {
+      std::fprintf(stderr, "--backend was removed: use --precision=fp32|bf16 for the GEMM "
+                           "precision and LTNS_FORCE_ISA=portable|avx2|avx512|neon to pin "
+                           "the kernel tier\n");
+      std::exit(64);
     } else if (std::strncmp(argv[i], "--precision=", 12) == 0) {
-      g_flags.precision = argv[i] + 12;
-      if (g_flags.precision != "fp32" && g_flags.precision != "bf16") {
-        std::fprintf(stderr, "unknown --precision '%s' (fp32|bf16)\n", g_flags.precision.c_str());
+      exec::Precision p;
+      if (!exec::parse_precision(argv[i] + 12, &p)) {
+        std::fprintf(stderr, "unknown --precision '%s' (fp32|bf16)\n", argv[i] + 12);
         std::exit(64);
       }
+      g_flags.precision = p;
     } else if (std::strcmp(argv[i], "--elastic") == 0) {
       g_flags.elastic = true;
     } else if (std::strncmp(argv[i], "--lease=", 8) == 0) {
@@ -350,8 +321,9 @@ std::vector<char*> parse_runtime_flags(int argc, char** argv) {
       g_flags.wait = true;
     } else if (std::strcmp(argv[i], "--version") == 0) {
       const auto& b = obs::build_info();
-      std::printf("ltns %s\n  compiler: %s\n  flags: %s\n  build type: %s\n", b.version,
-                  b.compiler, b.flags, b.build_type);
+      std::printf("ltns %s\n  compiler: %s\n  flags: %s\n  build type: %s\n  kernels: %s\n",
+                  b.version, b.compiler, b.flags, b.build_type,
+                  device::probe_isa_label().c_str());
       std::exit(0);
     } else if (std::strcmp(argv[i], "--no-telemetry") == 0) {
       g_flags.telemetry = false;
@@ -491,15 +463,15 @@ void flush_observability(const runtime::ExecutorSnapshot& rt, const runtime::Mem
 void print_shards(const std::vector<dist::ShardTelemetry>& shards) {
   if (!g_flags.telemetry || shards.empty()) return;
   for (const auto& s : shards) {
-    const char* backend = s.backend.empty() ? "host" : s.backend.c_str();
+    const char* isa = s.isa.empty() ? "?" : s.isa.c_str();
     if (s.count > 0)
       std::printf("  shard %d [%s]: tasks %llu of [%llu, %llu), %llu stolen, wall %.3fs\n",
-                  int(s.shard), backend, (unsigned long long)s.tasks_run,
+                  int(s.shard), isa, (unsigned long long)s.tasks_run,
                   (unsigned long long)s.first, (unsigned long long)(s.first + s.count),
                   (unsigned long long)s.executor.stolen, s.wall_seconds);
     else
       std::printf("  shard %d [%s]: tasks %llu over %llu leases, wall %.3fs\n", int(s.shard),
-                  backend, (unsigned long long)s.tasks_run, (unsigned long long)s.leases,
+                  isa, (unsigned long long)s.tasks_run, (unsigned long long)s.leases,
                   s.wall_seconds);
   }
 }
@@ -545,7 +517,7 @@ void print_telemetry(const runtime::ExecutorSnapshot& rt, const runtime::MemoryS
   if (d.kernel_calls() > 0 || d.stem_steps > 0)
     std::printf("  device [%s]: gemm %llu, permute %llu, stem steps %llu, "
                 "to-device %.3g B / %.3g ms, to-host %.3g B / %.3g ms\n",
-                g_flags.backend.c_str(), (unsigned long long)d.gemm_calls,
+                device::probe_isa_label().c_str(), (unsigned long long)d.gemm_calls,
                 (unsigned long long)d.permute_calls, (unsigned long long)d.stem_steps,
                 d.bytes_to_device, d.ns_to_device / 1e6, d.bytes_to_host, d.ns_to_host / 1e6);
 }
@@ -800,7 +772,7 @@ int cmd_coordinate(int argc, char** argv) {
   so.executor = g_flags.executor;
   so.grain = g_flags.grain;
   so.workers_per_process = g_flags.workers;
-  so.backend = effective_backend();
+  so.precision = g_flags.precision.value_or(exec::Precision::kFp32);
   so.elastic = g_flags.elastic;
   so.lease_size = g_flags.lease;
   so.heartbeat_seconds = g_flags.heartbeat;
@@ -845,11 +817,7 @@ int cmd_worker(int argc, char** argv) {
   if (argc < 4) return 64;
   const int port = std::atoi(argv[3]);
   if (port <= 0 || port > 65535) return 64;
-  // An EXPLICIT --backend on a worker overrides the job's default: each
-  // node runs the backend its hardware has (the heterogeneous-fleet knob).
-  // Without the flag the worker follows the coordinator's job.
-  const int rc = dist::serve_worker(argv[2], uint16_t(port),
-                                    g_flags.backend_set ? g_flags.backend : std::string{});
+  const int rc = dist::serve_worker(argv[2], uint16_t(port));
   // A worker given --trace-out also keeps a local copy of its own lane —
   // the coordinator still gets the kTrace chunk for the merged timeline.
   if (!g_flags.trace_out.empty() && obs::Tracer::instance().enabled()) {
@@ -866,6 +834,10 @@ int cmd_serve(int argc, char** argv) {
   if (argc < 3) return 64;
   const int port = std::atoi(argv[2]);
   if (port < 0 || port > 65535) return 64;
+  if (g_flags.precision) {
+    std::fprintf(stderr, "serve: --precision is per job; pass it to submit\n");
+    return 64;
+  }
   dist::ServerOptions so;
   so.state_dir = g_flags.state_dir;
   // --processes picks the notional home-window count of every job's lease
@@ -878,7 +850,6 @@ int cmd_serve(int argc, char** argv) {
   so.workers_per_process = g_flags.workers;
   so.executor = uint32_t(g_flags.executor);
   so.grain = g_flags.grain;
-  so.backend = effective_backend();
   so.metrics_out = g_flags.metrics_out;
   so.metrics_interval_seconds = g_flags.metrics_interval;
   so.admission.max_queued = size_t(g_flags.max_queue);
@@ -929,10 +900,7 @@ int cmd_submit(int argc, char** argv) {
   spec.priority = g_flags.priority;
   spec.circuit_text = load_circuit_text(argv[4]);
   spec.target_log2size = g_flags.target;
-  // --precision and a +bf16 suffix on --backend are the same request; the
-  // server folds spec.precision into its own backend choice (wire v7).
-  spec.precision =
-      exec::precision_name(device::parse_backend_spec(effective_backend()).precision);
+  spec.precision = exec::precision_name(g_flags.precision.value_or(exec::Precision::kFp32));
   if (query_job) {
     // Kind "query": the whole query file rides in the spec; bits carries
     // the all-zero base string (its length tells the server the qubit
@@ -1060,6 +1028,14 @@ int cmd_shutdown(int argc, char** argv) {
 }  // namespace
 
 int main(int raw_argc, char** raw_argv) {
+  // Resolve the kernel tier before anything runs: a typo'd LTNS_FORCE_ISA
+  // is a usage error, not an exception out of the first kernel call.
+  try {
+    device::cpu_probe();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 64;
+  }
   auto args = parse_runtime_flags(raw_argc, raw_argv);
   int argc = int(args.size());
   char** argv = args.data();
@@ -1102,9 +1078,9 @@ int main(int raw_argc, char** raw_argv) {
                  "\n"
                  "run flags:\n"
                  "  --runtime=ws|static|serial --grain=N\n"
-                 "  --backend=SPEC  host|blocked|simd|cuda with optional +fp32|+bf16 suffix\n"
-                 "                  (help lists capabilities; docs/kernels.md)\n"
-                 "  --precision=fp32|bf16   GEMM operand precision (default fp32)\n"
+                 "  --precision=fp32|bf16   GEMM operand precision (default fp32); the\n"
+                 "                  kernel tier is probed at runtime, LTNS_FORCE_ISA\n"
+                 "                  clamps it (docs/kernels.md)\n"
                  "  --target=N   planner slicing bound, log2 elems (default 16)\n"
                  "query (docs/queries.md):\n"
                  "  --max-open=N       batch-group merge bound (default 6)\n"

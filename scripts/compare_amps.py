@@ -6,8 +6,8 @@ scripts/kernels_e2e.sh greps out of amp/coordinate/result runs) under one
 of two modes:
 
   --compare-mode=bitwise   byte equality of the amplitude lines. This is
-                           the fp32 contract: every backend and every SIMD
-                           tier must reproduce the host kernels' bits, so
+                           the fp32 contract: every SIMD tier must
+                           reproduce the scalar reference kernels' bits, so
                            even the %.10e text must match exactly.
   --compare-mode=ulp:N     scale-relative ULP bound. This is the bf16
                            mixed-precision contract: deterministic bits,

@@ -4,7 +4,6 @@
 
 #include "cache/cache.hpp"
 #include "circuit/io.hpp"
-#include "device/backend.hpp"
 #include "dist/checkpoint.hpp"
 #include "query/eval.hpp"
 #include "util/timer.hpp"
@@ -58,7 +57,7 @@ Simulator::Simulator(circuit::Circuit c, SimulatorOptions opt)
     // The covering-batch index scope: a result key with bits/open blanked,
     // i.e. the circuit + every knob that selects WHICH numbers come out.
     result_scope_ = cache::result_key(circuit::circuit_to_string(circuit_), "", "", opt_.plan,
-                                      opt_.fused, opt_.ldm_elems);
+                                      opt_.fused, opt_.ldm_elems, opt_.precision);
   }
 }
 
@@ -144,7 +143,7 @@ RunOutput run(const circuit::LoweredNetwork& lowered, const core::Plan& plan,
     so.resume = opt.durability.resume;
     so.spill_fsync_seconds = opt.durability.fsync_seconds;
     so.spill_run_id = spill_run_id;
-    so.backend = effective_backend_spec(opt);  // each worker constructs it after the fork
+    so.precision = opt.precision;
     so.metrics_out = opt.observability.metrics_out;
     so.metrics_interval_seconds = opt.observability.metrics_interval_seconds;
     auto sr = exec::run_sharded(*plan.tree, leaves, plan.slices, so);
@@ -162,37 +161,20 @@ RunOutput run(const circuit::LoweredNetwork& lowered, const core::Plan& plan,
     return out;
   }
 
-  // In-process run: the Simulator owns one backend instance for the run.
-  auto backend = device::make_backend(effective_backend_spec(opt));
   exec::SliceRunOptions ro;
   ro.executor = opt.executor;
   ro.scheduler = opt.scheduler;
   ro.grain = opt.grain;
   ro.pool = opt.pool != nullptr ? opt.pool : &ThreadPool::global();
   ro.fused = fused;
-  ro.backend = backend.get();
+  ro.precision = opt.precision;
   out.r = exec::run_sliced(*plan.tree, leaves, plan.slices, ro);
   return out;
 }
 
 }  // namespace
 
-std::string effective_backend_spec(const SimulatorOptions& opt) {
-  auto spec = device::parse_backend_spec(opt.backend);
-  if (opt.precision == "bf16") spec.precision = exec::Precision::kBf16;
-  return spec.spec();
-}
-
 std::string validate_options(const SimulatorOptions& opt) {
-  if (!opt.precision.empty() && opt.precision != "fp32" && opt.precision != "bf16")
-    return "unknown precision '" + opt.precision + "'; use fp32 or bf16";
-  if (opt.precision == "bf16" && opt.backend.find("+fp32") != std::string::npos)
-    return "precision bf16 conflicts with explicit fp32 backend spec '" + opt.backend + "'";
-  try {
-    device::parse_backend_spec(opt.backend);
-  } catch (const std::invalid_argument& e) {
-    return e.what();
-  }
   if (!opt.durability.spill_dir.empty() && !opt.sharding.elastic)
     return "checkpoint spill requires the elastic driver (--elastic)";
   if (opt.durability.spill_dir.empty() &&
@@ -213,7 +195,8 @@ std::string Simulator::plan_key_for(const std::vector<int>& bits,
 std::string Simulator::result_key_for(const std::vector<int>& bits,
                                       const std::vector<int>& open_qubits) const {
   return cache::result_key(circuit::circuit_to_string(circuit_), bit_text(bits),
-                           open_text(open_qubits), opt_.plan, opt_.fused, opt_.ldm_elems);
+                           open_text(open_qubits), opt_.plan, opt_.fused, opt_.ldm_elems,
+                           opt_.precision);
 }
 
 PreparedPlan Simulator::prepare(const std::vector<int>& bits,

@@ -79,21 +79,12 @@ struct SimulatorOptions {
   ThreadPool* pool = nullptr;     // kInnerPool/kStaticPool; defaults to global
   runtime::SliceScheduler* scheduler = nullptr;  // kWorkStealing; defaults to global
   uint64_t grain = 1;             // scheduler chunk size (tasks per pop)
-  // Device backend the kernels run on: "host" (reference), "blocked"
-  // (cache-blocked host device), "simd" (runtime-dispatched vector tiers)
-  // or "cuda" (compile-gated), optionally with a "+fp32"/"+bf16" precision
-  // suffix. Every conforming backend is bitwise identical at a given
-  // precision, so results never depend on this choice;
-  // device::make_backend throws std::invalid_argument for unknown or
-  // compiled-out names. In sharded runs each worker process constructs its
-  // own instance of this backend after the fork.
-  std::string backend = "host";
-  // GEMM operand precision: "fp32" (default; bitwise contract) or "bf16"
+  // GEMM operand precision: fp32 (default; bitwise contract) or bf16
   // (mixed precision: bf16 operands, fp32 accumulation — deterministic,
-  // ULP-bounded vs fp32; see docs/kernels.md). Folded into the backend
-  // spec; an explicit "+fp32" suffix on `backend` conflicts with "bf16"
-  // here and is rejected by validate_options.
-  std::string precision = "fp32";
+  // ULP-bounded vs fp32; see docs/kernels.md). The kernels' ISA tier is
+  // not an option: device::cpu_probe() picks it (LTNS_FORCE_ISA clamps it),
+  // and every tier gives the same bits at one precision.
+  exec::Precision precision = exec::Precision::kFp32;
   ShardingOptions sharding;
   DurabilityOptions durability;
   ObservabilityOptions observability;
@@ -109,11 +100,6 @@ struct SimulatorOptions {
 // exit 64) and Simulator::amplitude/batch_amplitudes (as the result's
 // `telemetry.error`) call this, so the two layers can never drift.
 std::string validate_options(const SimulatorOptions& opt);
-
-// The backend spec a run actually constructs: `opt.backend` with
-// `opt.precision` folded in ("simd" + "bf16" -> "simd+bf16"). This is the
-// string that travels to forked shard workers and remote jobs.
-std::string effective_backend_spec(const SimulatorOptions& opt);
 
 struct AmplitudeResult {
   std::complex<double> amplitude{0, 0};

@@ -10,7 +10,7 @@
 // and so cannot front a plan lookup), and because make_plan is
 // deterministic in its inputs, equal input keys imply equal resolved plans
 // and — by the bitwise-determinism contract — equal result bytes across
-// executors, backends and process counts.
+// executors, ISA tiers and process counts.
 //
 // Each cache is a two-tier store: an in-memory LRU of serialized entries in
 // front of an optional on-disk directory (`--cache-dir`). Entries are
@@ -39,6 +39,7 @@
 #include "api/telemetry.hpp"
 #include "cache/options.hpp"
 #include "core/planner.hpp"
+#include "exec/simd_kernels.hpp"
 #include "tn/tensor_network.hpp"
 
 namespace ltns::cache {
@@ -58,12 +59,14 @@ std::string plan_key(const std::string& circuit_text, const std::string& bits,
 
 // The result key extends the plan key's preimage with the execution knobs
 // that select WHICH numbers are computed (fused stem windows and the LDM
-// capacity change the kernel schedule, not just its speed). Executor,
-// backend and process count are deliberately absent: conforming backends
-// are bitwise identical, so one cached result serves them all.
+// capacity change the kernel schedule, not just its speed; bf16 GEMM
+// precision changes the numbers themselves). Executor, ISA tier and
+// process count are deliberately absent: every tier is bitwise identical,
+// so one cached result serves them all. fp32 keys leave the precision out
+// of the preimage, so stores written without it stay valid.
 std::string result_key(const std::string& circuit_text, const std::string& bits,
                        const std::string& open_qubits, const core::PlanOptions& plan, bool fused,
-                       uint64_t ldm_elems);
+                       uint64_t ldm_elems, exec::Precision precision);
 
 // One LRU+disk tier of serialized entries. Shared by both caches; public
 // mostly for tests, which exercise eviction order and corruption handling

@@ -67,8 +67,6 @@ const CpuProbe& cpu_probe() {
   return probe;
 }
 
-size_t probe_simd_lanes() { return exec::isa_lanes(cpu_probe().active); }
-
 std::string probe_isa_label() {
   const CpuProbe& p = cpu_probe();
   std::string label = exec::isa_name(p.active);

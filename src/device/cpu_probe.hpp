@@ -1,6 +1,5 @@
-// Runtime CPU capability probe: which vector ISA tier the simd backend's
-// dispatch selects, and the lanes/isa every CPU-class backend reports in
-// its DeviceCaps (the hard-coded simd_lanes guesses are gone).
+// Runtime CPU capability probe: which vector ISA tier every kernel call
+// (exec::contract, the fused stem window) runs at, and its lane count.
 //
 // Detection is cached on first use. The LTNS_FORCE_ISA environment variable
 // (portable | avx2 | avx512 | neon) clamps the active tier DOWN for the CI
@@ -26,12 +25,7 @@ struct CpuProbe {
 // Cached probe (detection + env override resolved once per process).
 const CpuProbe& cpu_probe();
 
-// Float lanes of the active tier — the DeviceCaps::simd_lanes source of
-// truth for host/blocked/simd (and the cuda scaffolding, which runs these
-// same CPU kernels until real hardware lands).
-size_t probe_simd_lanes();
-
-// "avx2", "avx512 (forced: portable)", ... for capability descriptions.
+// "avx2", "portable (LTNS_FORCE_ISA)", ... for version and report output.
 std::string probe_isa_label();
 
 }  // namespace ltns::device

@@ -1,13 +1,13 @@
-// Device transfer/kernel telemetry (src/device/).
+// Kernel-call and operand-packing telemetry (src/device/).
 //
 // One DeviceStats is kept per worker next to its ExecStats and merged once
 // at the end of a run, so recording needs no synchronization. The transfer
 // fields follow the bytes/ns-to-device accounting convention of real
-// offload runtimes: host-class backends with unified memory legitimately
-// report zero transfer bytes (kernels read tensors in place), staged
-// backends (packed-panel scratch, a real accelerator) report every copy.
-// This header is dependency-free on purpose: both the exec layer and the
-// runtime telemetry embed it.
+// offload runtimes: the vector GEMM tiers pack operand panels into
+// split-complex scratch and report that packing as to-device traffic; the
+// portable tier reads tensors in place and reports zero. Nothing is copied
+// back, so the to-host fields stay zero. This header is dependency-free on
+// purpose: both the exec layer and the runtime telemetry embed it.
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,6 @@
 #include "dist/elastic.hpp"
 
+#include "device/cpu_probe.hpp"
 #include "dist/checkpoint.hpp"
 #include "obs/build_info.hpp"
 #include "obs/metrics.hpp"
@@ -25,7 +26,7 @@ namespace ltns::dist {
 
 namespace {
 
-// Minimal JSON string escaping for worker-supplied text (backend names
+// Minimal JSON string escaping for worker-supplied text (ISA tier labels
 // arrive verbatim from heartbeat payloads; a quote or control byte must
 // not make the --status snapshot unparseable).
 std::string json_escape(const std::string& s) {
@@ -264,11 +265,11 @@ void ElasticCoordinator::handle_frame(Peer& p, const Frame& f, ShardMerger* merg
     }
     case FrameType::kHeartbeat: {
       // last_seen was already reset by the caller; the payload (optional)
-      // advertises the worker's device backend plus a WorkerPulse metrics
+      // advertises the worker's kernel ISA tier plus a WorkerPulse metrics
       // sample for status probes and the periodic metrics snapshot.
       if (!f.payload.empty()) {
         ByteReader r(f.payload);
-        p.backend = r.get_string();
+        p.isa = r.get_string();
         if (!r.exhausted()) {
           p.pulse = get_pulse(r);
           p.has_pulse = true;
@@ -468,8 +469,8 @@ std::string ElasticCoordinator::status_json() const {
   first = true;
   for (const auto& p : peers_) {
     if (p.id < 0) continue;
-    o << (first ? "" : ",") << "{\"id\":" << p.id << ",\"backend\":\""
-      << (p.backend.empty() ? "?" : json_escape(p.backend)) << "\",\"alive\":"
+    o << (first ? "" : ",") << "{\"id\":" << p.id << ",\"isa\":\""
+      << (p.isa.empty() ? "?" : json_escape(p.isa)) << "\",\"alive\":"
       << (p.fd >= 0 ? "true" : "false") << ",\"stalled\":" << (p.stalled ? "true" : "false")
       << ",\"parked\":" << (p.is_parked ? "true" : "false")
       << ",\"draining\":" << (p.draining ? "true" : "false")
@@ -544,7 +545,8 @@ void serve_elastic_shard(int fd, const tn::ContractionTree& tree,
   const ChaosHooks chaos = chaos_from_env(opt.worker_id);
   ShardTelemetry tel;
   tel.shard = opt.worker_id;
-  tel.backend = opt.stream.backend_name;
+  const std::string isa = exec::isa_name(device::cpu_probe().active);
+  tel.isa = isa;
   Timer wall;
 
   // The compute thread and the heartbeat thread share the socket: one
@@ -567,11 +569,11 @@ void serve_elastic_shard(int fd, const tn::ContractionTree& tree,
       if (since.seconds() < opt.heartbeat_seconds) continue;
       since.reset();
       try {
-        // Heartbeats advertise the device backend this worker runs on plus
-        // the latest WorkerPulse, so a status probe sees the fleet's device
-        // mix AND per-worker utilization live.
+        // Heartbeats advertise the ISA tier this worker's kernels run at
+        // plus the latest WorkerPulse, so a status probe sees the fleet's
+        // tier mix AND per-worker utilization live.
         ByteWriter hb;
-        hb.put_string(opt.stream.backend_name);
+        hb.put_string(isa);
         {
           std::lock_guard<std::mutex> lock(pulse_mu);
           put_pulse(hb, pulse);

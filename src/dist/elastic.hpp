@@ -104,7 +104,7 @@ class ElasticCoordinator {
     bool draining = false;  // kDrain sent, waiting for kTelemetry/kDone
     bool finished = false;  // kDone received (or peer gone)
     bool stalled = false;   // quarantined by the stall timeout
-    std::string backend;    // device backend advertised in heartbeats
+    std::string isa;        // kernel ISA tier advertised in heartbeats
     uint64_t leases_completed = 0;
     WorkerPulse pulse;      // latest heartbeat metrics sample (v4+ peers)
     bool has_pulse = false;

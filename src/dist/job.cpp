@@ -3,6 +3,8 @@
 #include <netdb.h>
 #include <unistd.h>
 
+#include <stdexcept>
+
 #include "circuit/io.hpp"
 
 namespace ltns::dist {
@@ -24,7 +26,7 @@ void put_job(ByteWriter& w, const Job& j) {
   w.put<uint64_t>(j.ldm_elems);
   w.put<uint32_t>(j.elastic);
   w.put<double>(j.heartbeat_seconds);
-  w.put_string(j.backend);
+  w.put_string(exec::precision_name(j.precision));  // v8
   w.put<uint32_t>(j.trace);
   w.put<uint64_t>(j.open_qubits.size());  // v6
   for (int q : j.open_qubits) w.put<int32_t>(int32_t(q));
@@ -48,7 +50,9 @@ Job get_job(ByteReader& r) {
   j.ldm_elems = r.get<uint64_t>();
   j.elastic = r.get<uint32_t>();
   j.heartbeat_seconds = r.get<double>();
-  j.backend = r.get_string();
+  const std::string precision = r.get_string();  // v8
+  if (!exec::parse_precision(precision, &j.precision))
+    throw std::runtime_error("job: unknown precision '" + precision + "'");
   j.trace = r.get<uint32_t>();
   const auto nq = r.get<uint64_t>();  // v6
   j.open_qubits.reserve(size_t(nq));

@@ -17,6 +17,7 @@
 #include "circuit/lowering.hpp"
 #include "core/planner.hpp"
 #include "dist/wire.hpp"
+#include "exec/simd_kernels.hpp"
 #include "query/query.hpp"
 
 namespace ltns::dist {
@@ -40,7 +41,7 @@ struct Job {
   uint64_t ldm_elems = 32768;
   uint32_t elastic = 0;
   double heartbeat_seconds = 0.2;
-  std::string backend = "host";  // default device backend; workers may override
+  exec::Precision precision = exec::Precision::kFp32;  // v8: GEMM operand precision
   uint32_t trace = 0;  // arm the worker's event tracer; chunk ships via kTrace
   // v6: open output qubits (sorted ascending; empty = closed amplitude
   // job). Workers lower with these open and accumulate a rank-|open| shard
@@ -78,8 +79,8 @@ struct JobSpec {
   int32_t max_open = 6;           // query grouper merge bound
   std::string amp_mode = "exact"; // "exact" | "grouped" (docs/queries.md)
   // v7: GEMM operand precision, "fp32" (bitwise contract) or "bf16" (mixed
-  // precision, deterministic + ULP-bounded). The server folds this into the
-  // backend spec of every Job it derives for this submission.
+  // precision, deterministic + ULP-bounded). The server validates it and
+  // stamps it into every Job it derives for this submission.
   std::string precision = "fp32";
 };
 

@@ -25,7 +25,7 @@
 #include "cache/cache.hpp"
 #include "circuit/io.hpp"
 #include "core/planner.hpp"
-#include "device/backend.hpp"
+#include "device/cpu_probe.hpp"
 #include "dist/checkpoint.hpp"
 #include "dist/elastic.hpp"
 #include "dist/shard_plan.hpp"
@@ -51,14 +51,12 @@ namespace {
 constexpr uint32_t kStateMagic = 0x4C544A53u;  // "LTJS"
 constexpr uint16_t kStateVersion = 3;
 
-// The backend spec stamped into a job's kJob payload: the server's
-// configured backend NAME with the submission's precision folded in. An
-// explicit +suffix on the server's --backend pins precision server-wide
-// and wins over the spec (mirrors device::merge_backend_override).
-std::string job_backend_spec(const std::string& server_backend, const JobSpec& spec) {
-  const std::string base = server_backend.empty() ? "host" : server_backend;
-  if (spec.precision == "bf16" && base.find('+') == std::string::npos) return base + "+bf16";
-  return base;
+// The GEMM precision stamped into a job's kJob payload. Submit validates
+// the spec's field; an empty one means fp32.
+exec::Precision job_precision(const JobSpec& spec) {
+  exec::Precision p = exec::Precision::kFp32;
+  exec::parse_precision(spec.precision, &p);
+  return p;
 }
 
 std::string json_escape(const std::string& s) {
@@ -242,7 +240,7 @@ struct ServerImpl {
     bool draining = false;
     bool finished = false;
     bool stalled = false;
-    std::string backend;
+    std::string isa;  // kernel ISA tier advertised in heartbeats
     WorkerPulse pulse;
     bool has_pulse = false;
     std::set<uint64_t> jobs_sent;  // job ids whose kJob frame this worker holds
@@ -322,7 +320,7 @@ struct ServerImpl {
   }
   static std::string spec_result_key(const JobSpec& s) {
     return cache::result_key(s.circuit_text, s.bits, /*open_qubits=*/"", spec_plan_options(s),
-                             s.fused != 0, s.ldm_elems);
+                             s.fused != 0, s.ldm_elems, job_precision(s));
   }
   // The canonical key preimage forms the Simulator hashes ('0'/'1' bit
   // text, "q0,q1," open text) — a batch the server computes must be
@@ -342,11 +340,11 @@ struct ServerImpl {
   // covering-batch index partitions on (mirrors api::Simulator).
   static std::string spec_scope(const JobSpec& s) {
     return cache::result_key(s.circuit_text, "", "", spec_plan_options(s), s.fused != 0,
-                             s.ldm_elems);
+                             s.ldm_elems, job_precision(s));
   }
   static std::string group_result_key(const JobSpec& s, const query::GroupSpec& g) {
     return cache::result_key(s.circuit_text, bit_text(g.base_bits), open_text(g.open_qubits),
-                             spec_plan_options(s), s.fused != 0, s.ldm_elems);
+                             spec_plan_options(s), s.fused != 0, s.ldm_elems, job_precision(s));
   }
 
   static bool terminal(JobState s) {
@@ -512,7 +510,7 @@ struct ServerImpl {
     j.base.ldm_elems = j.spec.ldm_elems;
     j.base.elastic = 1;
     j.base.heartbeat_seconds = opt.heartbeat_seconds;
-    j.base.backend = job_backend_spec(opt.backend, j.spec);
+    j.base.precision = job_precision(j.spec);
 
     // Disjoint lease-id base: the job id rides the high 32 bits of every
     // lease this ledger issues, so worker frames route by lease id alone.
@@ -655,7 +653,7 @@ struct ServerImpl {
     c.base.ldm_elems = parent.spec.ldm_elems;
     c.base.elastic = 1;
     c.base.heartbeat_seconds = opt.heartbeat_seconds;
-    c.base.backend = job_backend_spec(opt.backend, parent.spec);
+    c.base.precision = job_precision(parent.spec);
 
     c.ledger = std::make_unique<LeaseLedger>(c.total, std::max(1, opt.home_workers),
                                              opt.lease_size, (id << 32) | 1);
@@ -1281,7 +1279,7 @@ struct ServerImpl {
       case FrameType::kHeartbeat: {
         if (!f.payload.empty()) {
           ByteReader r(f.payload);
-          p.backend = r.get_string();
+          p.isa = r.get_string();
           if (!r.exhausted()) {
             p.pulse = get_pulse(r);
             p.has_pulse = true;
@@ -1420,7 +1418,7 @@ struct ServerImpl {
       bool first = true;
       for (const auto& [wid, tel] : j.worker_tel) {
         o << (first ? "" : ",") << "{\"id\":" << wid << ",\"tasks_run\":" << tel.tasks_run
-          << ",\"leases\":" << tel.leases << ",\"backend\":\"" << json_escape(tel.backend)
+          << ",\"leases\":" << tel.leases << ",\"isa\":\"" << json_escape(tel.isa)
           << "\"}";
         first = false;
       }
@@ -1479,8 +1477,8 @@ struct ServerImpl {
     first = true;
     for (const auto& p : peers) {
       if (p.kind != Peer::Kind::kWorker) continue;
-      o << (first ? "" : ",") << "{\"id\":" << p.worker_id << ",\"backend\":\""
-        << (p.backend.empty() ? "?" : json_escape(p.backend))
+      o << (first ? "" : ",") << "{\"id\":" << p.worker_id << ",\"isa\":\""
+        << (p.isa.empty() ? "?" : json_escape(p.isa))
         << "\",\"alive\":" << (p.fd >= 0 && !p.finished ? "true" : "false")
         << ",\"parked\":" << (p.parked ? "true" : "false")
         << ",\"draining\":" << (p.draining ? "true" : "false")
@@ -1617,14 +1615,13 @@ std::string JobServer::serve() {
 namespace {
 
 // Everything a fleet worker caches per job id: the replanned contraction,
-// the fused plan, a worker-local backend instance, and the cumulative
-// telemetry it ships with every kRangeDone.
+// the fused plan, the job's GEMM precision, and the cumulative telemetry
+// it ships with every kRangeDone.
 struct WorkerJobCtx {
   std::unique_ptr<Prepared> p;
   exec::FusedPlan fused_plan;
   bool has_fused = false;
-  std::unique_ptr<device::DeviceBackend> backend;
-  std::string backend_name;
+  exec::Precision precision = exec::Precision::kFp32;
   uint32_t executor = 0;
   uint64_t grain = 1;
   ShardTelemetry tel;
@@ -1632,8 +1629,7 @@ struct WorkerJobCtx {
 
 }  // namespace
 
-int serve_fleet_worker(int fd, int worker_id, double heartbeat_seconds,
-                       const std::string& backend_override) {
+int serve_fleet_worker(int fd, int worker_id, double heartbeat_seconds) {
   const ChaosHooks chaos = chaos_from_env(worker_id);
   Timer wall;
 
@@ -1644,7 +1640,7 @@ int serve_fleet_worker(int fd, int worker_id, double heartbeat_seconds,
   };
   std::mutex pulse_mu;
   WorkerPulse pulse;
-  std::string pulse_backend = backend_override.empty() ? "host" : backend_override;
+  const std::string isa = exec::isa_name(device::cpu_probe().active);
   std::atomic<bool> stop{false};
   std::thread heartbeat([&] {
     if (heartbeat_seconds <= 0) return;
@@ -1657,7 +1653,7 @@ int serve_fleet_worker(int fd, int worker_id, double heartbeat_seconds,
         ByteWriter hb;
         {
           std::lock_guard<std::mutex> lock(pulse_mu);
-          hb.put_string(pulse_backend);
+          hb.put_string(isa);
           put_pulse(hb, pulse);
         }
         send(FrameType::kHeartbeat, hb);
@@ -1716,9 +1712,7 @@ int serve_fleet_worker(int fd, int worker_id, double heartbeat_seconds,
                 "plan mismatch for job " + std::to_string(job.job_id) + ": local |S| = " +
                 std::to_string(ctx->p->plan.num_slices()) + ", server expected " +
                 std::to_string(job.num_slices));
-          // Override keeps the job's precision unless it pins its own.
-          ctx->backend_name = device::merge_backend_override(job.backend, backend_override);
-          ctx->backend = device::make_backend(ctx->backend_name);
+          ctx->precision = job.precision;
           if (job.fused != 0) {
             ctx->fused_plan = exec::plan_fused(ctx->p->plan.stem, ctx->p->plan.slices.to_vector(),
                                                size_t(job.ldm_elems));
@@ -1727,7 +1721,7 @@ int serve_fleet_worker(int fd, int worker_id, double heartbeat_seconds,
           ctx->executor = job.executor;
           ctx->grain = job.grain;
           ctx->tel.shard = worker_id;
-          ctx->tel.backend = ctx->backend_name;
+          ctx->tel.isa = isa;
           if (pool == nullptr) {
             const int workers = job.workers > 0 ? job.workers : 0;  // 0 = hardware
             pool = std::make_unique<ThreadPool>(workers);
@@ -1763,8 +1757,7 @@ int serve_fleet_worker(int fd, int worker_id, double heartbeat_seconds,
       so.pool = pool.get();
       so.scheduler = sched.get();
       so.fused = ctx.has_fused ? &ctx.fused_plan : nullptr;
-      so.backend = ctx.backend.get();
-      so.backend_name = ctx.backend_name;
+      so.precision = ctx.precision;
       auto leaves = [&ln = ctx.p->lowered](tn::VertId v) -> const exec::Tensor& {
         return ln.tensors[size_t(v)];
       };
@@ -1791,7 +1784,6 @@ int serve_fleet_worker(int fd, int worker_id, double heartbeat_seconds,
           pulse.device_bytes = bytes;
           pulse.device_ns = ns;
           pulse.wall_seconds = wall.seconds();
-          pulse_backend = ctx.backend_name;
         }
         if (chaos.sleep_ms_per_task > 0) {
           std::this_thread::sleep_for(std::chrono::microseconds(

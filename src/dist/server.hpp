@@ -126,7 +126,6 @@ struct ServerOptions {
   int workers_per_process = 0;  // 0 = worker hardware decides
   uint32_t executor = 0;        // exec::SliceExecutor
   uint64_t grain = 1;
-  std::string backend = "host";
   std::string metrics_out;  // ltns_server_*/ltns_tenant_* snapshot target
   double metrics_interval_seconds = 0;
   AdmissionOptions admission;
@@ -164,7 +163,6 @@ class JobServer {
 // ranges block-by-block, and exit on kDrain. `worker_id` and
 // `heartbeat_seconds` come from the kWelcome payload. Returns a process
 // exit code.
-int serve_fleet_worker(int fd, int worker_id, double heartbeat_seconds,
-                       const std::string& backend_override);
+int serve_fleet_worker(int fd, int worker_id, double heartbeat_seconds);
 
 }  // namespace ltns::dist

@@ -18,7 +18,6 @@
 #include "circuit/io.hpp"
 #include "circuit/lowering.hpp"
 #include "core/planner.hpp"
-#include "device/backend.hpp"
 #include "dist/checkpoint.hpp"
 #include "dist/elastic.hpp"
 #include "dist/job.hpp"
@@ -85,7 +84,7 @@ CoordinatorResult CoordinatorServer::run_amplitude(int num_workers, const circui
   base.num_slices = int32_t(p.plan.num_slices());
   base.fused = opt.fused ? 1 : 0;
   base.ldm_elems = opt.ldm_elems;
-  base.backend = opt.backend.empty() ? "host" : opt.backend;
+  base.precision = opt.precision;
   base.trace = opt.trace ? 1 : 0;
 
   // Shared tail of both drivers: fold the merged root into the amplitude.
@@ -246,7 +245,7 @@ CoordinatorResult CoordinatorServer::run_amplitude(int num_workers, const circui
   return res;
 }
 
-int serve_worker(const std::string& host, uint16_t port, const std::string& backend_override) {
+int serve_worker(const std::string& host, uint16_t port) {
   std::signal(SIGPIPE, SIG_IGN);
   // ~10s of connect retries: workers may be launched before (or alongside)
   // the coordinator.
@@ -265,7 +264,7 @@ int serve_worker(const std::string& host, uint16_t port, const std::string& back
       ByteReader wr(f.payload);
       const int worker_id = int(wr.get<int32_t>());
       const double heartbeat_seconds = wr.get<double>();
-      rc = serve_fleet_worker(fd, worker_id, heartbeat_seconds, backend_override);
+      rc = serve_fleet_worker(fd, worker_id, heartbeat_seconds);
       ::close(fd);
       return rc;
     }
@@ -295,13 +294,6 @@ int serve_worker(const std::string& host, uint16_t port, const std::string& back
     const int workers = job.workers > 0 ? job.workers : 0;  // 0 = hardware
     ThreadPool pool(workers);
     runtime::SliceScheduler sched(workers);
-    // This worker's hardware decides the backend NAME: the CLI override
-    // wins, then the job's default. The job's precision sticks to the
-    // override unless it pins its own (+fp32/+bf16) — bitwise identity
-    // across conforming backends at one precision is what lets a
-    // heterogeneous fleet share one reduction.
-    const std::string backend_name = device::merge_backend_override(job.backend, backend_override);
-    auto backend = device::make_backend(backend_name);
     auto leaves = [&ln = p.lowered](tn::VertId v) -> const exec::Tensor& {
       return ln.tensors[size_t(v)];
     };
@@ -319,8 +311,7 @@ int serve_worker(const std::string& host, uint16_t port, const std::string& back
     so.pool = &pool;
     so.scheduler = &sched;
     so.fused = fused;
-    so.backend = backend.get();
-    so.backend_name = backend_name;
+    so.precision = job.precision;
     if (job.elastic != 0) {
       ElasticWorkerOptions eo;
       eo.stream = so;

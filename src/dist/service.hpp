@@ -61,11 +61,10 @@ struct ServiceOptions {
   std::string spill_dir;
   bool resume = false;
   double spill_fsync_seconds = 0;  // <= 0 = fsync after every record
-  // Default device backend the job asks workers to run on; each worker may
-  // override it for its own hardware (`ltns_cli worker --backend=...`) —
-  // conforming backends are bitwise identical, so a mixed fleet still
-  // produces the byte-exact amplitude.
-  std::string backend = "host";
+  // GEMM operand precision every worker runs the job at. Each worker picks
+  // its own ISA tier; every tier gives the same bits at one precision, so a
+  // mixed fleet still produces the byte-exact amplitude.
+  exec::Precision precision = exec::Precision::kFp32;
   // Observability (src/obs): with `trace`, the job asks every worker to arm
   // its event tracer and ship the recorded chunk back over kTrace at drain
   // time, so the coordinator's --trace-out timeline carries one lane per
@@ -113,10 +112,7 @@ class CoordinatorServer {
 // Connects to a coordinator, executes the job it is handed (one fixed
 // window, or the elastic lease loop when the job says so), streams the
 // partials back, and returns 0 on success (non-zero on any failure).
-// `backend_override` (optional) picks this worker's device backend instead
-// of the job's default — the heterogeneous-fleet knob.
-int serve_worker(const std::string& host, uint16_t port,
-                 const std::string& backend_override = "");
+int serve_worker(const std::string& host, uint16_t port);
 
 // Status probe: connects to a running *elastic* coordinator and returns
 // its live lease/heartbeat state as a JSON string (`ltns_cli coordinate

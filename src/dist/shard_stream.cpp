@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "device/cpu_probe.hpp"
 #include "dist/shard_plan.hpp"
 #include "obs/trace.hpp"
 #include "util/timer.hpp"
@@ -20,7 +21,7 @@ exec::Tensor reduce_block(const AlignedBlock& block, const tn::ContractionTree& 
   ro.scheduler = opt.scheduler;
   ro.grain = opt.grain;
   ro.fused = opt.fused;
-  ro.backend = opt.backend;
+  ro.precision = opt.precision;
   auto r = exec::run_sliced(tree, leaves, slices, ro);
   if (!r.completed) throw std::runtime_error("block run did not complete");
   tel->tasks_run += r.tasks_run;
@@ -38,7 +39,7 @@ void stream_shard_window(int fd, int shard_id, uint64_t first, uint64_t count,
   tel.shard = shard_id;
   tel.first = first;
   tel.count = count;
-  tel.backend = opt.backend_name;
+  tel.isa = exec::isa_name(device::cpu_probe().active);
   Timer wall;
   for (const auto& block : aligned_blocks(first, count)) {
     auto partial = reduce_block(block, tree, leaves, slices, opt, &tel);

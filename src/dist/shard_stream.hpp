@@ -21,11 +21,7 @@ struct ShardStreamOptions {
   ThreadPool* pool = nullptr;                    // required
   runtime::SliceScheduler* scheduler = nullptr;  // required
   const exec::FusedPlan* fused = nullptr;
-  // Device backend this worker's kernels run through (worker-local
-  // instance; backends never cross process boundaries) and the name it
-  // advertises in telemetry and heartbeats. Null backend = raw host path.
-  device::DeviceBackend* backend = nullptr;
-  std::string backend_name = "host";
+  exec::Precision precision = exec::Precision::kFp32;  // GEMM operand precision
 };
 
 // Reduces one tournament-aligned block with run_sliced and folds the run's

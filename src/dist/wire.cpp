@@ -298,7 +298,7 @@ void put_telemetry(ByteWriter& w, const ShardTelemetry& t) {
   w.put<uint64_t>(t.leases);
   w.put<uint64_t>(t.reduce_merges);
   w.put<double>(t.wall_seconds);
-  w.put_string(t.backend);
+  w.put_string(t.isa);
   put_snapshot(w, t.executor);
   put_memory_stats(w, t.memory);
   put_exec_stats(w, t.exec);
@@ -313,7 +313,7 @@ ShardTelemetry get_telemetry(ByteReader& r) {
   t.leases = r.get<uint64_t>();
   t.reduce_merges = r.get<uint64_t>();
   t.wall_seconds = r.get<double>();
-  t.backend = r.get_string();
+  t.isa = r.get_string();
   t.executor = get_snapshot(r);
   t.memory = get_memory_stats(r);
   t.exec = get_exec_stats(r);

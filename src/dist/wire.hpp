@@ -54,12 +54,14 @@ inline constexpr uint32_t kWireMagic = 0x4C544E53u;  // "LTNS"
 //     query file as one job); JobResultRecord grew kind + the per-query
 //     result list. All appended at the end of their payloads.
 // v7: mixed precision. JobSpec grew a `precision` tail field ("fp32" |
-//     "bf16"); the server folds it into the backend SPEC it hands workers
-//     (Job.backend already carries "name[+precision]" strings, so Job
-//     itself is unchanged). Worker --backend overrides preserve the job's
-//     precision unless they pin one explicitly
-//     (device::merge_backend_override).
-inline constexpr uint16_t kWireVersion = 7;
+//     "bf16"); the server folded it into the "name[+precision]" backend
+//     spec string Job carried.
+// v8: one kernel path. Job's backend-spec string became its GEMM
+//     `precision` ("fp32" | "bf16"); the string that ShardTelemetry and
+//     heartbeat payloads carried as the backend name is now the ISA tier
+//     the worker's kernels ran at ("avx512", "portable", ...). Payload
+//     layouts are unchanged; v7 binaries are refused by the version check.
+inline constexpr uint16_t kWireVersion = 8;
 
 // Header endianness markers; read_frame rejects a frame whose marker does
 // not match the host's.
@@ -175,7 +177,7 @@ struct ShardTelemetry {
   uint64_t leases = 0;         // ranges this worker completed (elastic mode)
   uint64_t reduce_merges = 0;  // worker-local tournament merges
   double wall_seconds = 0;
-  std::string backend;         // device backend the worker ran on ("host", ...)
+  std::string isa;             // kernel ISA tier the worker ran ("avx512", ...)
   runtime::ExecutorSnapshot executor;
   runtime::MemoryStats memory;
   exec::ExecStats exec;

@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
-#include "device/backend.hpp"
+#include "device/cpu_probe.hpp"
+#include "device/stats.hpp"
 #include "obs/trace.hpp"
 #include "util/timer.hpp"
 
@@ -34,8 +35,9 @@ ContractPlan plan_contract(const std::vector<int>& a_ixs, const std::vector<int>
 }
 
 Tensor contract(const Tensor& a, const Tensor& b, ThreadPool* pool, ContractStats* stats,
-                device::DeviceBackend* backend, device::DeviceStats* dstats) {
+                Precision prec, device::DeviceStats* dstats) {
   ContractPlan p = plan_contract(a.ixs(), b.ixs());
+  const IsaTier tier = device::cpu_probe().active;
 
   const Tensor* ap = &a;
   const Tensor* bp = &b;
@@ -45,14 +47,16 @@ Tensor contract(const Tensor& a, const Tensor& b, ThreadPool* pool, ContractStat
     obs::TraceScope tr(obs::EventKind::kPermute,
                        (!p.a_identity ? a.size() : 0) + (!p.b_identity ? b.size() : 0));
     if (!p.a_identity) {
-      a_tmp = backend != nullptr ? backend->permute(a, p.a_order, dstats) : permute(a, p.a_order);
+      a_tmp = permute_simd(tier, a, p.a_order);
       ap = &a_tmp;
       if (stats) stats->permute_elems += double(a.size());
+      if (dstats) dstats->permute_calls += 1;
     }
     if (!p.b_identity) {
-      b_tmp = backend != nullptr ? backend->permute(b, p.b_order, dstats) : permute(b, p.b_order);
+      b_tmp = permute_simd(tier, b, p.b_order);
       bp = &b_tmp;
       if (stats) stats->permute_elems += double(b.size());
+      if (dstats) dstats->permute_calls += 1;
     }
   }
 
@@ -60,10 +64,14 @@ Tensor contract(const Tensor& a, const Tensor& b, ThreadPool* pool, ContractStat
   {
     ScopedSeconds st(stats != nullptr ? &stats->gemm_seconds : nullptr);
     obs::TraceScope tr(obs::EventKind::kGemm, uint64_t(p.m) * uint64_t(p.n), uint64_t(p.k));
-    if (backend != nullptr) {
-      backend->gemm(p.m, p.n, p.k, ap->raw(), bp->raw(), out.raw(), pool, dstats);
-    } else {
-      cgemm(p.m, p.n, p.k, ap->raw(), bp->raw(), out.raw(), pool);
+    SimdPackStats pack;
+    cgemm_simd(tier, prec, p.m, p.n, p.k, ap->raw(), bp->raw(), out.raw(), pool, &pack);
+    if (pack.bytes > 0) obs::trace_instant(obs::EventKind::kDeviceUpload, uint64_t(pack.bytes));
+    if (dstats) {
+      dstats->gemm_calls += 1;
+      dstats->bytes_to_device += pack.bytes;  // plane packing is the staging copy
+      dstats->ns_to_device += pack.ns;
+      dstats->uploads += pack.packs;
     }
   }
   if (stats) stats->flops += gemm_flops(p.m, p.n, p.k);

@@ -12,11 +12,11 @@
 
 #include "exec/gemm.hpp"
 #include "exec/permute.hpp"
+#include "exec/simd_kernels.hpp"
 #include "exec/tensor.hpp"
 #include "util/parallel.hpp"
 
 namespace ltns::device {
-class DeviceBackend;
 struct DeviceStats;
 }  // namespace ltns::device
 
@@ -42,12 +42,12 @@ struct ContractStats {
 };
 
 // Contracts A with B over all shared edges. `pool` parallelizes the GEMM;
-// stats (optional) accumulate. When `backend` is set the permute and GEMM
-// kernels run through it (and `dstats`, optional, receives its transfer/
-// kernel accounting); a null backend is the raw host path, bitwise
-// identical to the "host" backend by construction.
+// stats (optional) accumulate. The permute and GEMM run the vector kernels
+// at the tier device::cpu_probe() selects, with GEMM operands at `prec`;
+// at fp32 every tier is bitwise identical to exec::permute + exec::cgemm.
+// `dstats` (optional) receives the kernel-call and packing accounting.
 Tensor contract(const Tensor& a, const Tensor& b, ThreadPool* pool = nullptr,
-                ContractStats* stats = nullptr, device::DeviceBackend* backend = nullptr,
+                ContractStats* stats = nullptr, Precision prec = Precision::kFp32,
                 device::DeviceStats* dstats = nullptr);
 
 // Reference implementation: explicit loops over all index assignments.

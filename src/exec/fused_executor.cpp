@@ -4,7 +4,6 @@
 #include <cassert>
 #include <mutex>
 
-#include "device/backend.hpp"
 #include "util/timer.hpp"
 
 namespace ltns::exec {
@@ -148,7 +147,7 @@ struct WindowExec {
   const FusedPlan& plan;
   ThreadPool* pool;
   FusedStats* stats;
-  device::DeviceBackend* backend;
+  Precision prec;
 
   // Executes window `win` on current stem tensor `T` with pre-contracted
   // branch tensors; returns the new stem tensor.
@@ -200,36 +199,19 @@ struct WindowExec {
       ds.record_get(moved, g);
       size_t ldm_peak = w.size();
 
-      if (backend != nullptr) {
-        // Batched device execution: the whole window's steps run on the
-        // backend (one staged upload/download round-trip for non-unified
-        // devices). The DMA model still counts each branch get.
-        for (int k = win.begin_step; k < win.end_step; ++k) {
-          const Tensor& b = branches[size_t(k)];
-          ds.record_get(double(b.size()) * kBytesPerElem, double(b.size()) * kBytesPerElem);
-        }
+      // The window's steps run serially: one subtask IS one CPE.
+      for (int k = win.begin_step; k < win.end_step; ++k) {
+        const Tensor& b = branches[size_t(k)];
+        ds.record_get(double(b.size()) * kBytesPerElem, double(b.size()) * kBytesPerElem);
         ContractStats cs;
-        size_t peak = 0;
-        w = backend->run_stem_window(std::move(w), branches.data() + win.begin_step,
-                                     win.end_step - win.begin_step, &cs, &es.device, &peak);
+        Tensor wn = contract(w, b, nullptr, &cs, prec, &es.device);
         es.flops += cs.flops;
         es.permute_elems += cs.permute_elems;
         es.gemm_seconds += cs.gemm_seconds;
         es.permute_seconds += cs.permute_seconds;
-        ldm_peak = std::max(ldm_peak, peak);
-      } else {
-        for (int k = win.begin_step; k < win.end_step; ++k) {
-          const Tensor& b = branches[size_t(k)];
-          ds.record_get(double(b.size()) * kBytesPerElem, double(b.size()) * kBytesPerElem);
-          ContractStats cs;
-          Tensor wn = contract(w, b, nullptr, &cs);  // serial: this IS one CPE
-          es.flops += cs.flops;
-          es.permute_elems += cs.permute_elems;
-          es.gemm_seconds += cs.gemm_seconds;
-          es.permute_seconds += cs.permute_seconds;
-          ldm_peak = std::max(ldm_peak, w.size() + b.size() + wn.size());
-          w = std::move(wn);
-        }
+        es.device.stem_steps += 1;
+        ldm_peak = std::max(ldm_peak, w.size() + b.size() + wn.size());
+        w = std::move(wn);
       }
       assert(ldm_peak <= plan.ldm_elems || !win.in_ldm);
 
@@ -281,7 +263,7 @@ struct WindowExec {
 }  // namespace
 
 Tensor execute_fused(const FusedPlan& plan, const LeafProvider& leaves, uint64_t assignment,
-                     ThreadPool* pool, FusedStats* stats, device::DeviceBackend* backend) {
+                     ThreadPool* pool, FusedStats* stats, Precision prec) {
   const tn::Stem& stem = *plan.stem;
   const tn::ContractionTree& tree = *stem.tree;
 
@@ -291,12 +273,12 @@ Tensor execute_fused(const FusedPlan& plan, const LeafProvider& leaves, uint64_t
   for (int k = 0; k + 1 < stem.length(); ++k)
     branches[size_t(k)] = execute_subtree(tree, stem.branches[size_t(k)], leaves,
                                           plan.process_sliced, assignment, pool, &branch_stats,
-                                          backend);
+                                          prec);
   Tensor cur = execute_subtree(tree, stem.nodes[0], leaves, plan.process_sliced, assignment,
-                               pool, &branch_stats, backend);
+                               pool, &branch_stats, prec);
   if (stats) stats->exec.merge(branch_stats);
 
-  WindowExec we{plan, pool, stats, backend};
+  WindowExec we{plan, pool, stats, prec};
   for (const auto& win : plan.windows) {
     if (win.in_ldm) {
       cur = we.run(win, cur, branches);
@@ -305,7 +287,7 @@ Tensor execute_fused(const FusedPlan& plan, const LeafProvider& leaves, uint64_t
       ContractStats cs;
       const Tensor& b = branches[size_t(win.begin_step)];
       Tensor next =
-          contract(cur, b, pool, &cs, backend, stats ? &stats->exec.device : nullptr);
+          contract(cur, b, pool, &cs, prec, stats ? &stats->exec.device : nullptr);
       if (stats) {
         stats->exec.flops += cs.flops;
         stats->exec.permute_elems += cs.permute_elems;
@@ -322,22 +304,21 @@ Tensor execute_fused(const FusedPlan& plan, const LeafProvider& leaves, uint64_t
 
 Tensor execute_stem_stepwise(const tn::Stem& stem, const LeafProvider& leaves,
                              const std::vector<int>& process_sliced, uint64_t assignment,
-                             ThreadPool* pool, FusedStats* stats,
-                             device::DeviceBackend* backend) {
+                             ThreadPool* pool, FusedStats* stats, Precision prec) {
   const tn::ContractionTree& tree = *stem.tree;
   ExecStats branch_stats;
   std::vector<Tensor> branches(size_t(stem.length() - 1));
   for (int k = 0; k + 1 < stem.length(); ++k)
     branches[size_t(k)] = execute_subtree(tree, stem.branches[size_t(k)], leaves, process_sliced,
-                                          assignment, pool, &branch_stats, backend);
+                                          assignment, pool, &branch_stats, prec);
   Tensor cur = execute_subtree(tree, stem.nodes[0], leaves, process_sliced, assignment, pool,
-                               &branch_stats, backend);
+                               &branch_stats, prec);
   if (stats) stats->exec.merge(branch_stats);
 
   for (int k = 0; k + 1 < stem.length(); ++k) {
     const Tensor& b = branches[size_t(k)];
     ContractStats cs;
-    Tensor next = contract(cur, b, pool, &cs, backend, stats ? &stats->exec.device : nullptr);
+    Tensor next = contract(cur, b, pool, &cs, prec, stats ? &stats->exec.device : nullptr);
     if (stats) {
       stats->exec.flops += cs.flops;
       stats->exec.permute_elems += cs.permute_elems;

@@ -82,19 +82,17 @@ struct FusedStats {
 
 // Executes the whole stem for one process-level subtask. Branches are
 // pre-contracted with the step-by-step executor (their cost is counted into
-// `stats->exec` as the paper counts branch pre-conditioning). `backend`
-// (optional) runs every kernel — and each secondary subtask's whole fused
-// window, batched — on a device backend; output is bitwise identical for
-// any conforming backend.
+// `stats->exec` as the paper counts branch pre-conditioning). `prec` is the
+// GEMM operand precision of every contraction.
 Tensor execute_fused(const FusedPlan& plan, const LeafProvider& leaves, uint64_t assignment,
                      ThreadPool* pool = nullptr, FusedStats* stats = nullptr,
-                     device::DeviceBackend* backend = nullptr);
+                     Precision prec = Precision::kFp32);
 
 // Step-by-step stem execution (the Fig. 12 baseline): identical work, but
 // every step is a full TTGT against main memory.
 Tensor execute_stem_stepwise(const tn::Stem& stem, const LeafProvider& leaves,
                              const std::vector<int>& process_sliced, uint64_t assignment,
                              ThreadPool* pool = nullptr, FusedStats* stats = nullptr,
-                             device::DeviceBackend* backend = nullptr);
+                             Precision prec = Precision::kFp32);
 
 }  // namespace ltns::exec

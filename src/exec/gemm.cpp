@@ -1,7 +1,6 @@
 #include "exec/gemm.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <vector>
 
 namespace ltns::exec {
@@ -56,7 +55,7 @@ inline void micro_edge(int mm, int nn, int k, const cfloat* a, int lda, const cf
 constexpr int kKc = 256;  // K-panel so a 4-row A strip + 4-col B strip fit in L1
 
 void cgemm_rows(int m0, int m1, int n, int k, const cfloat* a, const cfloat* b, cfloat* c) {
-  for (int i = m0; i < m1; ++i) std::memset(c + size_t(i) * n, 0, size_t(n) * sizeof(cfloat));
+  std::fill_n(c + size_t(m0) * n, size_t(m1 - m0) * n, cfloat{});
   for (int kp = 0; kp < k; kp += kKc) {
     const int kc = std::min(kKc, k - kp);
     int i = m0;
@@ -80,7 +79,7 @@ void cgemm_rows(int m0, int m1, int n, int k, const cfloat* a, const cfloat* b, 
 void cgemm(int m, int n, int k, const cfloat* a, const cfloat* b, cfloat* c, ThreadPool* pool) {
   if (m == 0 || n == 0) return;
   if (k == 0) {
-    std::memset(c, 0, size_t(m) * n * sizeof(cfloat));
+    std::fill_n(c, size_t(m) * n, cfloat{});
     return;
   }
   // Parallelize across row panels only when the work amortizes the fork.

@@ -11,7 +11,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "device/backend.hpp"
 #include "dist/checkpoint.hpp"
 #include "dist/elastic.hpp"
 #include "dist/shard_merge.hpp"
@@ -29,11 +28,6 @@ int workers_for(const ShardRunOptions& opt) {
   if (opt.workers_per_process > 0) return opt.workers_per_process;
   const int hw = int(std::max(1u, std::thread::hardware_concurrency()));
   return std::max(1, hw / std::max(1, opt.processes));
-}
-
-std::string backend_name_for(const ShardRunOptions& opt, int shard_id) {
-  if (!opt.backends.empty()) return opt.backends[size_t(shard_id) % opt.backends.size()];
-  return opt.backend.empty() ? "host" : opt.backend;
 }
 
 // Worker process body: stream the shard window's block partials over the
@@ -54,16 +48,13 @@ std::string backend_name_for(const ShardRunOptions& opt, int shard_id) {
     const int workers = workers_for(opt);
     ThreadPool pool(workers);
     runtime::SliceScheduler sched(workers);
-    const std::string backend_name = backend_name_for(opt, shard_id);
-    auto backend = device::make_backend(backend_name);
     dist::ShardStreamOptions so;
     so.executor = opt.executor;
     so.grain = opt.grain;
     so.pool = &pool;
     so.scheduler = &sched;
     so.fused = opt.fused;
-    so.backend = backend.get();
-    so.backend_name = backend_name;
+    so.precision = opt.precision;
     if (opt.elastic) {
       dist::ElasticWorkerOptions eo;
       eo.stream = so;

@@ -62,14 +62,9 @@ struct ShardRunOptions {
   bool resume = false;
   double spill_fsync_seconds = 0;
   std::string spill_run_id;
-  // Device backend each worker process constructs after the fork (backends
-  // never cross process boundaries, so a NAME travels rather than a
-  // pointer). `backends`, when non-empty, assigns per-shard names —
-  // backends[shard % backends.size()] — for heterogeneous fleets; every
-  // conforming backend is bitwise identical, so mixing them never changes
-  // the merged tensor.
-  std::string backend = "host";
-  std::vector<std::string> backends;
+  // GEMM operand precision every worker runs at (the kernel tier is each
+  // worker's own cpu_probe; every tier gives the same bits at a precision).
+  Precision precision = Precision::kFp32;
   // Periodic live-metrics snapshot (elastic mode only): the coordinator
   // writes `metrics_out` (ltns.metrics.v1 JSON + .prom twin) every
   // `metrics_interval_seconds` while the run is live, and once more at the

@@ -288,7 +288,7 @@ struct PlaneBuf {
 void simd_rows(const TierKernels& tk, Precision prec, int m0, int m1, int n, int k,
                const cfloat* a, const cfloat* b, cfloat* c, SimdPackStats* ps) {
   const bool round = prec == Precision::kBf16;
-  for (int i = m0; i < m1; ++i) std::memset(c + size_t(i) * n, 0, size_t(n) * sizeof(cfloat));
+  std::fill_n(c + size_t(m0) * n, size_t(m1 - m0) * n, cfloat{});
   const int lanes = int(tk.lanes);
   const int n_full = n - n % lanes;
   const int mc = m1 - m0;
@@ -350,7 +350,7 @@ void simd_rows(const TierKernels& tk, Precision prec, int m0, int m1, int n, int
 // operands — the reference every vector mixed tier must match bitwise.
 void mixed_rows_portable(int m0, int m1, int n, int k, const cfloat* a, const cfloat* b,
                          cfloat* c) {
-  for (int i = m0; i < m1; ++i) std::memset(c + size_t(i) * n, 0, size_t(n) * sizeof(cfloat));
+  std::fill_n(c + size_t(m0) * n, size_t(m1 - m0) * n, cfloat{});
   for (int kp = 0; kp < k; kp += kKc) {
     const int kc = std::min(kKc, k - kp);
     scalar_panel<true>(m0, m1, 0, n, kc, a + kp, k, b + size_t(kp) * n, n, c, n);
@@ -393,11 +393,21 @@ const char* precision_name(Precision p) {
   return p == Precision::kBf16 ? "bf16" : "fp32";
 }
 
+bool parse_precision(const std::string& name, Precision* out) {
+  if (name == "fp32")
+    *out = Precision::kFp32;
+  else if (name == "bf16")
+    *out = Precision::kBf16;
+  else
+    return false;
+  return true;
+}
+
 void cgemm_simd(IsaTier tier, Precision prec, int m, int n, int k, const cfloat* a,
                 const cfloat* b, cfloat* c, ThreadPool* pool, SimdPackStats* pack) {
   if (m == 0 || n == 0) return;
   if (k == 0) {
-    std::memset(c, 0, size_t(m) * n * sizeof(cfloat));
+    std::fill_n(c, size_t(m) * n, cfloat{});
     return;
   }
   const TierKernels tk = tier_kernels(tier);

@@ -1,4 +1,4 @@
-// Vectorized kernel tiers (the "simd" device backend's engine).
+// Vectorized kernel tiers: the one kernel path every executor runs.
 //
 // Runtime CPU dispatch over explicit-intrinsic complex-GEMM microkernels
 // (AVX2 / AVX-512 on x86, NEON on aarch64) and a gather/blocked-copy
@@ -24,12 +24,13 @@
 // MIXED PRECISION (bf16 operands, fp32 accumulation): operands are rounded
 // to bfloat16 (round-to-nearest-even) on load/pack and the identical fp32
 // chain runs on the rounded values. That keeps mixed output DETERMINISTIC —
-// bitwise identical across tiers, backends and process counts — while its
+// bitwise identical across tiers and process counts — while its
 // distance from the fp32 reference is only ULP-bounded (the pinned corpus
 // in tests/test_kernels_parity.cpp and the e2e --compare-mode=ulp:<N>).
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "exec/permute.hpp"
@@ -55,6 +56,9 @@ std::vector<IsaTier> compiled_isa_tiers();
 enum class Precision { kFp32 = 0, kBf16 = 1 };
 
 const char* precision_name(Precision p);
+// Parses "fp32" / "bf16" (precision_name's spellings); false for anything
+// else, leaving *out untouched.
+bool parse_precision(const std::string& name, Precision* out);
 
 // Round-to-nearest-even bfloat16 round trip of one float (the value a bf16
 // operand contributes to the fp32 chain). NaN payloads may be truncated;
@@ -68,7 +72,7 @@ inline float bf16_round(float v) {
 }
 
 // B-panel packing accounting (the staging copy a discrete device would make
-// explicit; the "simd" backend reports it as to-device traffic).
+// explicit; exec::contract reports it as to-device traffic).
 struct SimdPackStats {
   double bytes = 0;
   double ns = 0;

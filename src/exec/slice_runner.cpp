@@ -59,7 +59,7 @@ SliceRunResult run_sliced(const tn::ContractionTree& tree, const LeafProvider& l
     Tensor r;
     if (opt.fused != nullptr) {
       FusedStats fs;
-      r = execute_fused(*opt.fused, leaves, t, inner, &fs, opt.backend);
+      r = execute_fused(*opt.fused, leaves, t, inner, &fs, opt.precision);
       mine.exec.merge(fs.exec);
       mine.memory.scratch_bytes_get += fs.dma.bytes_get;
       mine.memory.scratch_bytes_put += fs.dma.bytes_put;
@@ -74,7 +74,7 @@ SliceRunResult run_sliced(const tn::ContractionTree& tree, const LeafProvider& l
       xstats.memory.add(fs.exec.memory_seconds);
     } else {
       ExecStats es;
-      r = execute_tree(tree, leaves, sliced, t, inner, &es, opt.backend);
+      r = execute_tree(tree, leaves, sliced, t, inner, &es, opt.precision);
       mine.exec.merge(es);
       mine.memory.main_bytes += es.bytes_main;
       mine.memory.host_peak_elems = std::max(mine.memory.host_peak_elems, es.peak_live_elems);
@@ -130,7 +130,7 @@ SliceRunResult run_sliced(const tn::ContractionTree& tree, const LeafProvider& l
     res.memory.merge(p.memory);
   }
   res.executor_stats = xstats.snapshot();
-  // Device transfer/kernel telemetry rides the snapshot so every existing
+  // Kernel-call/packing telemetry rides the snapshot so every existing
   // aggregation path (shard telemetry, API results, CLI) carries it.
   res.executor_stats.device = res.stats.device;
   res.reduce_merges = reduction.merges();

@@ -53,10 +53,8 @@ struct SliceRunOptions {
   SliceExecutor executor = SliceExecutor::kInnerPool;
   runtime::SliceScheduler* scheduler = nullptr;  // kWorkStealing; null -> global
   uint64_t grain = 1;  // tasks per deque pop under work stealing
-  // Device backend every subtask's kernels run through (device/backend.hpp);
-  // null = the raw host path. Conforming backends are bitwise identical, so
-  // the accumulated tensor does not depend on this choice.
-  device::DeviceBackend* backend = nullptr;
+  // GEMM operand precision of every contraction (exec/simd_kernels.hpp).
+  Precision precision = Precision::kFp32;
 };
 
 struct SliceRunResult {

@@ -26,7 +26,7 @@ struct Runner {
   uint64_t assignment;
   ThreadPool* pool;
   ExecStats* stats;
-  device::DeviceBackend* backend;
+  Precision prec;
 
   std::vector<Tensor> value;  // per tree node
   size_t live_elems = 0;
@@ -59,7 +59,7 @@ struct Runner {
         Tensor& a = value[size_t(n.left)];
         Tensor& b = value[size_t(n.right)];
         ContractStats cs;
-        Tensor out = contract(a, b, pool, &cs, backend, stats ? &stats->device : nullptr);
+        Tensor out = contract(a, b, pool, &cs, prec, stats ? &stats->device : nullptr);
         if (stats) {
           stats->flops += cs.flops;
           stats->permute_elems += cs.permute_elems;
@@ -88,15 +88,15 @@ struct Runner {
 
 Tensor execute_tree(const tn::ContractionTree& tree, const LeafProvider& leaves,
                     const std::vector<int>& sliced_edges, uint64_t assignment, ThreadPool* pool,
-                    ExecStats* stats, device::DeviceBackend* backend) {
-  Runner r{tree, leaves, sliced_edges, assignment, pool, stats, backend, {}, 0};
+                    ExecStats* stats, Precision prec) {
+  Runner r{tree, leaves, sliced_edges, assignment, pool, stats, prec, {}, 0};
   return r.run(tree.root());
 }
 
 Tensor execute_subtree(const tn::ContractionTree& tree, int node, const LeafProvider& leaves,
                        const std::vector<int>& sliced_edges, uint64_t assignment,
-                       ThreadPool* pool, ExecStats* stats, device::DeviceBackend* backend) {
-  Runner r{tree, leaves, sliced_edges, assignment, pool, stats, backend, {}, 0};
+                       ThreadPool* pool, ExecStats* stats, Precision prec) {
+  Runner r{tree, leaves, sliced_edges, assignment, pool, stats, prec, {}, 0};
   return r.run(node);
 }
 

@@ -26,7 +26,7 @@ struct ExecStats {
   double permute_seconds = 0;
   double memory_seconds = 0;   // gather/scatter & leaf slicing time
   size_t peak_live_elems = 0;  // memory high-water mark
-  device::DeviceStats device;  // backend transfer/kernel telemetry
+  device::DeviceStats device;  // kernel-call and packing telemetry
 
   void merge(const ExecStats& o);
   // Arithmetic intensity (flop per main-memory byte).
@@ -38,19 +38,18 @@ using LeafProvider = std::function<const Tensor&(tn::VertId)>;
 
 // Executes the subtask of `tree` in which each sliced edge (order of
 // `sliced_edges`) is fixed to the corresponding bit of `assignment`.
-// Returns the root tensor (scalar if the network is closed). `backend`
-// (optional) routes every permute/GEMM through a device backend — output
-// stays bitwise identical for any conforming backend.
+// Returns the root tensor (scalar if the network is closed). `prec` is the
+// GEMM operand precision of every contraction.
 Tensor execute_tree(const tn::ContractionTree& tree, const LeafProvider& leaves,
                     const std::vector<int>& sliced_edges, uint64_t assignment,
                     ThreadPool* pool = nullptr, ExecStats* stats = nullptr,
-                    device::DeviceBackend* backend = nullptr);
+                    Precision prec = Precision::kFp32);
 
 // Executes only the subtree rooted at `node` (used to pre-contract branches
 // for the fused executor).
 Tensor execute_subtree(const tn::ContractionTree& tree, int node, const LeafProvider& leaves,
                        const std::vector<int>& sliced_edges, uint64_t assignment,
                        ThreadPool* pool = nullptr, ExecStats* stats = nullptr,
-                       device::DeviceBackend* backend = nullptr);
+                       Precision prec = Precision::kFp32);
 
 }  // namespace ltns::exec

@@ -231,7 +231,7 @@ void fill_run_metrics(MetricsRegistry& reg, const runtime::ExecutorSnapshot& s,
   reg.counter("ltns_phase_events_total", double(s.memory.count), {{"phase", "memory"}});
   reg.counter("ltns_reduce_merges_total", double(reduce_merges));
 
-  // Device backend.
+  // Kernel calls and operand packing (the device/ accounting).
   reg.counter("ltns_device_bytes_total", s.device.bytes_to_device, {{"dir", "to_device"}});
   reg.counter("ltns_device_bytes_total", s.device.bytes_to_host, {{"dir", "to_host"}});
   reg.counter("ltns_device_transfer_ns_total", s.device.ns_to_device, {{"dir", "to_device"}});
@@ -243,21 +243,13 @@ void fill_run_metrics(MetricsRegistry& reg, const runtime::ExecutorSnapshot& s,
               {{"kind", "permute"}});
   reg.counter("ltns_device_stem_steps_total", double(s.device.stem_steps));
 
-  // SIMD dispatch tier (docs/kernels.md): the runtime probe's active ISA
-  // is process-global, so the kernel series carry it as a label — a
-  // dashboard overlaying runs from a heterogeneous fleet (or a forced
-  // LTNS_FORCE_ISA CI leg) can split per-tier throughput without a new
-  // schema. Lane count doubles as the roofline's vector-width axis.
+  // Kernel ISA tier (docs/kernels.md): every kernel runs at the runtime
+  // probe's active tier, so the label names what ran. Lane count doubles as
+  // the roofline's vector-width axis.
   const auto& probe = device::cpu_probe();
   const std::string isa = exec::isa_name(probe.active);
   reg.gauge("ltns_kernel_isa_lanes", double(exec::isa_lanes(probe.active)), {{"isa", isa}});
   reg.gauge("ltns_kernel_isa_forced", probe.forced ? 1.0 : 0.0, {{"isa", isa}});
-  reg.counter("ltns_kernel_seconds_total", s.gemm.seconds, {{"kind", "gemm"}, {"isa", isa}});
-  reg.counter("ltns_kernel_seconds_total", s.permute.seconds,
-              {{"kind", "permute"}, {"isa", isa}});
-  reg.counter("ltns_kernel_calls_total", double(s.gemm.count), {{"kind", "gemm"}, {"isa", isa}});
-  reg.counter("ltns_kernel_calls_total", double(s.permute.count),
-              {{"kind", "permute"}, {"isa", isa}});
 
   // Memory hierarchy traffic.
   reg.counter("ltns_memory_bytes_total", mem.main_bytes, {{"tier", "main"}});

@@ -19,7 +19,8 @@ constexpr size_t kDefaultCapacity = 65536;
 // Chunk framing for the kTrace wire payload. The payload is POD-memcpy'd
 // like the rest of the wire (same-arch fleets only, by design).
 constexpr uint32_t kChunkMagic = 0x4C54524Bu;  // "LTRK"
-constexpr uint16_t kChunkVersion = 1;
+// v2: the unused "download" kind is gone, so later kinds renumbered.
+constexpr uint16_t kChunkVersion = 2;
 
 const EventKindInfo kKinds[size_t(EventKind::kKindCount)] = {
     {"slice", "slice", "task", nullptr, nullptr},
@@ -33,7 +34,6 @@ const EventKindInfo kKinds[size_t(EventKind::kKindCount)] = {
     {"lease", "lease", "lease", "first", "count"},
     {"range_done", "lease", "worker", "lease", nullptr},
     {"upload", "device", "bytes", nullptr, nullptr},
-    {"download", "device", "bytes", nullptr, nullptr},
     {"journal_append", "checkpoint", "bytes", nullptr, nullptr},
     {"journal_fsync", "checkpoint", "journal_bytes", nullptr, nullptr},
     {"wire_send", "wire", "frame", "bytes", nullptr},

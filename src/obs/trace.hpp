@@ -40,8 +40,7 @@ enum class EventKind : uint16_t {
   kLeaseRequeue,      // one range requeued for reissue    args: first, count
   kLeaseWork,         // worker computing one leased range args: lease, first, count
   kRangeDone,         // coordinator retired a range       args: worker, lease
-  kDeviceUpload,      // host -> device transfer           args: bytes
-  kDeviceDownload,    // device -> host transfer           args: bytes
+  kDeviceUpload,      // GEMM operand-panel packing        args: bytes
   kCheckpointAppend,  // journal record appended           args: bytes
   kCheckpointFsync,   // journal fsync                     args: journal_bytes
   kWireSend,          // one frame written                 args: frame_type, bytes

@@ -104,9 +104,9 @@ struct ExecutorSnapshot {
   uint64_t ranges_stolen = 0;
   uint64_t ranges_reissued = 0;
   double straggler_wait_seconds = 0;
-  // Device-backend transfer/kernel telemetry (bytes/ns to-device, kernel
-  // counts). Filled by the slice runner from the run's merged ExecStats;
-  // zero when the run used the raw host path.
+  // Kernel-call and operand-packing telemetry (packing bytes/ns as
+  // to-device traffic, kernel counts). Filled by the slice runner from the
+  // run's merged ExecStats.
   device::DeviceStats device;
   PerfSnapshot permute, gemm, reduce, memory;
 

@@ -12,6 +12,11 @@ SliceScheduler::SliceScheduler(int workers) {
   deques_ = std::vector<TaskDeque>(size_t(workers));
   threads_.reserve(size_t(workers - 1));
   for (int i = 1; i < workers; ++i) threads_.emplace_back([this, i] { worker_loop(i); });
+  // Return only once every helper has started: a thread still starting up
+  // may hold allocator locks, and a caller that forks right after
+  // construction (exec::run_sharded) would hand the child a locked heap.
+  std::unique_lock<std::mutex> lk(mu_);
+  cv_done_.wait(lk, [&] { return helpers_started_ == workers - 1; });
 }
 
 SliceScheduler::~SliceScheduler() {
@@ -24,6 +29,11 @@ SliceScheduler::~SliceScheduler() {
 }
 
 void SliceScheduler::worker_loop(int id) {
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    ++helpers_started_;
+  }
+  cv_done_.notify_all();
   uint64_t seen = 0;
   for (;;) {
     {

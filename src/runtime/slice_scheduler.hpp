@@ -88,6 +88,7 @@ class SliceScheduler {
   std::condition_variable cv_done_;
   uint64_t epoch_ = 0;
   int helpers_active_ = 0;
+  int helpers_started_ = 0;  // helpers that reached worker_loop
   bool stop_ = false;
 
   // Current run state.

@@ -95,12 +95,15 @@ TEST(CacheKeys, DeterministicAndSensitiveToEveryInput) {
 
 TEST(CacheKeys, ResultKeyExtendsPlanKeyWithExecutionKnobs) {
   core::PlanOptions po;
-  const std::string r = result_key("circ", "01", "", po, /*fused=*/true, /*ldm=*/32768);
-  EXPECT_EQ(r, result_key("circ", "01", "", po, true, 32768));
+  const auto fp32 = exec::Precision::kFp32;
+  const std::string r =
+      result_key("circ", "01", "", po, /*fused=*/true, /*ldm=*/32768, fp32);
+  EXPECT_EQ(r, result_key("circ", "01", "", po, true, 32768, fp32));
   // Execution knobs that change WHICH numbers are computed change the key;
   // the plan key must ignore them (one plan serves both stem modes).
-  EXPECT_NE(r, result_key("circ", "01", "", po, false, 32768));
-  EXPECT_NE(r, result_key("circ", "01", "", po, true, 16384));
+  EXPECT_NE(r, result_key("circ", "01", "", po, false, 32768, fp32));
+  EXPECT_NE(r, result_key("circ", "01", "", po, true, 16384, fp32));
+  EXPECT_NE(r, result_key("circ", "01", "", po, true, 32768, exec::Precision::kBf16));
   EXPECT_NE(r, plan_key("circ", "01", "", po));
 }
 
@@ -325,6 +328,31 @@ TEST(SimulatorCache, WarmRunIsBitwiseIdenticalAndSkipsPlanning) {
     EXPECT_EQ(st.plan.disk_hits, 1u);
     EXPECT_EQ(st.result.hits(), 0u);
   }
+}
+
+// bf16 changes the numbers, so a bf16 run must never be served an fp32
+// result from a shared store (nor the reverse).
+TEST(SimulatorCache, PrecisionsNeverShareResults) {
+  ScopedCacheDir dir;
+  auto c = test::small_rqc(3, 3, 6, 9);
+  api::SimulatorOptions opt;
+  opt.plan.target_log2size = 6;
+  std::vector<int> bits = test::zero_bits(c.num_qubits);
+  api::SimulatorOptions bf16 = opt;
+  bf16.precision = exec::Precision::kBf16;
+  const auto uncached_bf16 = api::Simulator(c, bf16).amplitude(bits);
+  ASSERT_TRUE(uncached_bf16.completed) << uncached_bf16.telemetry.error;
+
+  opt.cache.cache_dir = bf16.cache.cache_dir = dir.path;
+  const auto fp32 = api::Simulator(c, opt).amplitude(bits);
+  ASSERT_TRUE(fp32.completed) << fp32.telemetry.error;
+  ASSERT_NE(fp32.amplitude, uncached_bf16.amplitude);
+  api::Simulator sim(c, bf16);
+  const auto res = sim.amplitude(bits);
+  ASSERT_TRUE(res.completed) << res.telemetry.error;
+  EXPECT_FALSE(res.from_cache);
+  EXPECT_EQ(std::memcmp(&res.amplitude, &uncached_bf16.amplitude, sizeof(res.amplitude)), 0);
+  EXPECT_EQ(sim.amplitude(bits).from_cache, true);  // bf16 has its own entry
 }
 
 TEST(SimulatorCache, BatchWarmRunIsBitwiseIdentical) {

@@ -1,27 +1,30 @@
-// Device-backend subsystem tests (src/device/). The load-bearing
-// invariants:
-//   1. the registry lists host/blocked/simd/cuda, constructs the available
-//      ones (with or without a +fp32/+bf16 precision suffix),
-//      and fails unknown or compiled-out names with a message naming what
-//      IS available;
-//   2. BlockedBackend output is BITWISE identical to HostBackend (and to
-//      the raw host path) for gemm, permute, stem windows and whole sliced
-//      runs — across randomized shapes, pool widths, executors and worker
-//      counts (the ISSUE acceptance criterion);
-//   3. transfer accounting: upload/download count bytes both ways, the
-//      blocked backend reports nonzero to-device traffic (panel packing +
-//      staged stem windows), the unified host backend reports zero;
-//   4. DeviceStats rides ExecStats/ExecutorSnapshot through run_sliced.
+// Kernel-path tests (exec::contract at the probed ISA tier, src/device/
+// accounting). The load-bearing invariants:
+//   1. exec::contract, at whatever tier device::cpu_probe() selects, is
+//      BITWISE identical to the reference composition — exec::permute +
+//      exec::cgemm at fp32, the portable bf16 chain at bf16 — for fuzzed
+//      tensor pairs and every thread-pool width;
+//   2. the fused stem windows and the step-by-step tree executor are
+//      bitwise identical to the same work composed from reference
+//      contractions, at fp32 and bf16;
+//   3. accounting: every contraction counts its kernel calls, and a vector
+//      tier reports its operand packing as to-device traffic — the guard
+//      that the executors really reach the vector kernels (a regression to
+//      the scalar path fails it);
+//   4. DeviceStats rides ExecStats/ExecutorSnapshot through run_sliced, and
+//      the accumulated tensor is bitwise identical across executors and
+//      worker counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <set>
 
 #include "core/greedy_slicer.hpp"
-#include "device/backend.hpp"
 #include "device/cpu_probe.hpp"
-#include "exec/simd_kernels.hpp"
+#include "device/stats.hpp"
+#include "exec/contract.hpp"
 #include "exec/fused_executor.hpp"
-#include "exec/gemm.hpp"
 #include "exec/slice_runner.hpp"
 #include "exec/tree_executor.hpp"
 #include "test_helpers.hpp"
@@ -30,101 +33,24 @@
 namespace ltns::device {
 namespace {
 
-using exec::cfloat;
-
-std::vector<cfloat> random_buf(size_t n, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<cfloat> b(n);
-  for (auto& v : b) v = cfloat(float(rng.next_normal()), float(rng.next_normal()));
-  return b;
-}
-
+using exec::Precision;
+using exec::Tensor;
 using test::bitwise_equal;
+using test::reference_contract;
 
-// --- registry -------------------------------------------------------------
+constexpr Precision kPrecisions[] = {Precision::kFp32, Precision::kBf16};
 
-TEST(DeviceRegistry, ListsHostBlockedSimdAndCuda) {
-  auto all = available_backends();
-  ASSERT_EQ(all.size(), 4u);
-  EXPECT_EQ(all[0].name, "host");
-  EXPECT_TRUE(all[0].caps.available);
-  EXPECT_TRUE(all[0].caps.unified_memory);
-  EXPECT_EQ(all[1].name, "blocked");
-  EXPECT_TRUE(all[1].caps.available);
-  EXPECT_FALSE(all[1].caps.unified_memory);  // staged stem windows
-  EXPECT_EQ(all[2].name, "simd");
-  EXPECT_TRUE(all[2].caps.available);
-  EXPECT_TRUE(all[2].caps.unified_memory);
-  EXPECT_EQ(all[3].name, "cuda");
-#ifndef LTNS_ENABLE_CUDA
-  EXPECT_FALSE(all[3].caps.available);
-#endif
-  for (const auto& b : all) {
-    EXPECT_GE(b.caps.alignment, alignof(cfloat));
-    EXPECT_FALSE(b.caps.description.empty());
-    // Lanes/isa come from the runtime dispatch probe, not hard-coded
-    // guesses: every CPU-class backend reports the same active tier.
-    EXPECT_EQ(b.caps.simd_lanes, probe_simd_lanes()) << b.name;
-    EXPECT_EQ(b.caps.isa, exec::isa_name(cpu_probe().active)) << b.name;
-  }
+// Random tensor over `ixs` in a shuffled axis order, so the contraction
+// has real permutes to do on either side.
+Tensor shuffled_tensor(std::vector<int> ixs, Rng& rng, uint64_t seed) {
+  for (size_t i = ixs.size(); i > 1; --i) std::swap(ixs[i - 1], ixs[rng.next_u64() % i]);
+  return exec::random_tensor(ixs, seed);
 }
 
-TEST(DeviceRegistry, ConstructsByNameAndEmptyMeansHost) {
-  EXPECT_STREQ(make_backend("host")->name(), "host");
-  EXPECT_STREQ(make_backend("blocked")->name(), "blocked");
-  EXPECT_STREQ(make_backend("simd")->name(), "simd");
-  EXPECT_STREQ(make_backend("")->name(), "host");
-}
-
-TEST(DeviceRegistry, PrecisionSpecsParseAndDefaultToFp32) {
-  EXPECT_EQ(make_backend("host")->precision(), exec::Precision::kFp32);
-  EXPECT_EQ(make_backend("simd+fp32")->precision(), exec::Precision::kFp32);
-  EXPECT_EQ(make_backend("simd+bf16")->precision(), exec::Precision::kBf16);
-  EXPECT_EQ(make_backend("blocked+bf16")->precision(), exec::Precision::kBf16);
-  EXPECT_THROW(make_backend("host+fp64"), std::invalid_argument);
-  const auto spec = parse_backend_spec("simd+bf16");
-  EXPECT_EQ(spec.name, "simd");
-  EXPECT_EQ(spec.precision, exec::Precision::kBf16);
-  EXPECT_EQ(spec.spec(), "simd+bf16");
-  EXPECT_EQ(parse_backend_spec("blocked").spec(), "blocked");
-}
-
-TEST(DeviceRegistry, UnknownNameFailsListingKnownBackends) {
-  try {
-    make_backend("tpu");
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("tpu"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("host"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("blocked"), std::string::npos) << msg;
-  }
-}
-
-#ifndef LTNS_ENABLE_CUDA
-TEST(DeviceRegistry, CompiledOutCudaNamesTheGate) {
-  try {
-    make_backend("cuda");
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("LTNS_ENABLE_CUDA"), std::string::npos) << msg;
-  }
-}
-#endif
-
-TEST(DeviceRegistry, HelpListsEveryBackendWithAlignment) {
-  const std::string help = backend_help();
-  EXPECT_NE(help.find("host"), std::string::npos);
-  EXPECT_NE(help.find("blocked"), std::string::npos);
-  EXPECT_NE(help.find("cuda"), std::string::npos);
-  EXPECT_NE(help.find("alignment=64"), std::string::npos);
-}
-
-// --- tensor alignment (the blocked kernels' precondition) -----------------
+// --- tensor alignment (the vector kernels' precondition) ------------------
 
 TEST(DeviceAlignment, TensorStorageIs64ByteAligned) {
-  static_assert(exec::kTensorAlignment == 64, "blocked kernels assume 64-byte tensors");
+  static_assert(exec::kTensorAlignment == 64, "the kernels assume 64-byte tensors");
   for (int rank : {0, 1, 3, 7, 12}) {
     std::vector<int> ixs;
     for (int i = 0; i < rank; ++i) ixs.push_back(i);
@@ -132,38 +58,9 @@ TEST(DeviceAlignment, TensorStorageIs64ByteAligned) {
     EXPECT_EQ(reinterpret_cast<uintptr_t>(t.raw()) % exec::kTensorAlignment, 0u)
         << "rank " << rank;
     // Copies and moves keep the guarantee (fresh aligned storage).
-    exec::Tensor c = t;
+    Tensor c = t;
     EXPECT_EQ(reinterpret_cast<uintptr_t>(c.raw()) % exec::kTensorAlignment, 0u);
   }
-}
-
-TEST(DeviceAlignment, BackendScratchHonorsCapabilityAlignment) {
-  for (const char* name : {"host", "blocked", "simd"}) {
-    auto b = make_backend(name);
-    const size_t align = b->capabilities().alignment;
-    cfloat* p = b->alloc_elems(1000);
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % align, 0u) << name;
-    b->free_elems(p, 1000);
-  }
-}
-
-// --- transfer accounting --------------------------------------------------
-
-TEST(DeviceTransfers, UploadDownloadRoundTripCountsBothDirections) {
-  auto b = make_backend("blocked");
-  auto src = random_buf(4096, 9);
-  cfloat* dev = b->alloc_elems(4096);
-  DeviceStats st;
-  b->upload(dev, src.data(), 4096, &st);
-  std::vector<cfloat> back(4096);
-  b->download(back.data(), dev, 4096, &st);
-  b->free_elems(dev, 4096);
-  EXPECT_EQ(std::memcmp(back.data(), src.data(), 4096 * sizeof(cfloat)), 0);
-  EXPECT_EQ(st.uploads, 1u);
-  EXPECT_EQ(st.downloads, 1u);
-  EXPECT_EQ(st.bytes_to_device, 4096.0 * sizeof(cfloat));
-  EXPECT_EQ(st.bytes_to_host, 4096.0 * sizeof(cfloat));
-  EXPECT_GE(st.ns_to_device, 0.0);
 }
 
 TEST(DeviceStatsMergeAndSince, FieldwiseArithmetic) {
@@ -185,162 +82,80 @@ TEST(DeviceStatsMergeAndSince, FieldwiseArithmetic) {
   EXPECT_EQ(d.stem_steps, a.stem_steps);
 }
 
-// --- kernel parity: bitwise host == blocked -------------------------------
+// --- contract(): the one kernel path vs the reference composition ---------
 
-// Shapes chosen to hit every path: 4x4 tiles, ragged row/column edges, the
-// narrow bandwidth-bound regime, multiple K panels (k > 256), and tiny
-// degenerate sizes.
-struct GemmShape {
-  int m, n, k;
-};
-const GemmShape kShapes[] = {
-    {4, 4, 4},     {8, 8, 8},      {16, 16, 16},  {5, 7, 3},    {1, 1, 1},
-    {3, 3, 300},   {64, 64, 64},   {33, 65, 17},  {4096, 4, 4}, {4, 4096, 4},
-    {128, 4, 520}, {17, 259, 300}, {100, 100, 1}, {2, 2, 1024}, {0, 4, 4},
-    {4, 0, 4},     {4, 4, 0},
-};
-
-TEST(BlockedBackend, GemmBitwiseIdenticalToHostSerial) {
-  auto host = make_backend("host");
-  auto blocked = make_backend("blocked");
-  uint64_t seed = 1;
-  for (const auto& s : kShapes) {
-    auto a = random_buf(size_t(s.m) * size_t(std::max(s.k, 1)), seed++);
-    auto b = random_buf(size_t(std::max(s.k, 1)) * size_t(s.n), seed++);
-    std::vector<cfloat> c1(size_t(s.m) * s.n, cfloat{7, 7});
-    std::vector<cfloat> c2(size_t(s.m) * s.n, cfloat{9, 9});
-    DeviceStats st1, st2;
-    host->gemm(s.m, s.n, s.k, a.data(), b.data(), c1.data(), nullptr, &st1);
-    blocked->gemm(s.m, s.n, s.k, a.data(), b.data(), c2.data(), nullptr, &st2);
-    EXPECT_EQ(std::memcmp(c1.data(), c2.data(), c1.size() * sizeof(cfloat)), 0)
-        << "m=" << s.m << " n=" << s.n << " k=" << s.k;
-    EXPECT_EQ(st1.gemm_calls, 1u);
-    EXPECT_EQ(st2.gemm_calls, 1u);
-  }
-}
-
-TEST(BlockedBackend, GemmBitwiseIdenticalToHostAcrossPoolWidths) {
-  auto host = make_backend("host");
-  auto blocked = make_backend("blocked");
-  const int m = 120, n = 70, k = 300;  // big enough to cross the parallel threshold
-  auto a = random_buf(size_t(m) * k, 100);
-  auto b = random_buf(size_t(k) * n, 101);
-  for (int workers : {1, 2, 3, 5}) {
-    ThreadPool pool(workers);
-    std::vector<cfloat> c1(size_t(m) * n), c2(size_t(m) * n);
-    host->gemm(m, n, k, a.data(), b.data(), c1.data(), &pool, nullptr);
-    blocked->gemm(m, n, k, a.data(), b.data(), c2.data(), &pool, nullptr);
-    EXPECT_EQ(std::memcmp(c1.data(), c2.data(), c1.size() * sizeof(cfloat)), 0)
-        << "workers=" << workers;
-  }
-}
-
-TEST(BlockedBackend, GemmFuzzRandomShapesBitwise) {
-  auto host = make_backend("host");
-  auto blocked = make_backend("blocked");
+TEST(KernelPath, ContractMatchesReferenceBitwise) {
   Rng rng(2024);
-  for (int trial = 0; trial < 60; ++trial) {
-    const int m = 1 + int(rng.next_u64() % 90);
-    const int n = 1 + int(rng.next_u64() % 90);
-    const int k = 1 + int(rng.next_u64() % 600);  // crosses the 256 K-panel
-    auto a = random_buf(size_t(m) * k, 500 + uint64_t(trial));
-    auto b = random_buf(size_t(k) * n, 900 + uint64_t(trial));
-    std::vector<cfloat> c1(size_t(m) * n), c2(size_t(m) * n);
-    host->gemm(m, n, k, a.data(), b.data(), c1.data(), nullptr, nullptr);
-    blocked->gemm(m, n, k, a.data(), b.data(), c2.data(), nullptr, nullptr);
-    ASSERT_EQ(std::memcmp(c1.data(), c2.data(), c1.size() * sizeof(cfloat)), 0)
-        << "trial " << trial << ": m=" << m << " n=" << n << " k=" << k;
-  }
-}
+  for (Precision prec : kPrecisions) {
+    for (int trial = 0; trial < 40; ++trial) {
+      // Shared axes 0..s-1, A-only axes from 100, B-only axes from 200.
+      const int shared = int(rng.next_u64() % 5);
+      const int free_a = int(rng.next_u64() % 7);
+      const int free_b = int(rng.next_u64() % 7);
+      std::vector<int> ia, ib;
+      for (int e = 0; e < shared; ++e) {
+        ia.push_back(e);
+        ib.push_back(e);
+      }
+      for (int e = 0; e < free_a; ++e) ia.push_back(100 + e);
+      for (int e = 0; e < free_b; ++e) ib.push_back(200 + e);
+      const Tensor a = shuffled_tensor(ia, rng, 500 + uint64_t(trial));
+      const Tensor b = shuffled_tensor(ib, rng, 900 + uint64_t(trial));
+      const auto plan = exec::plan_contract(a.ixs(), b.ixs());
 
-TEST(BlockedBackend, GemmPackingCountsToDeviceTraffic) {
-  auto blocked = make_backend("blocked");
-  const int m = 32, n = 32, k = 32;
-  auto a = random_buf(size_t(m) * k, 7);
-  auto b = random_buf(size_t(k) * n, 8);
-  std::vector<cfloat> c(size_t(m) * n);
-  DeviceStats st;
-  blocked->gemm(m, n, k, a.data(), b.data(), c.data(), nullptr, &st);
-  // The packed B panel is the staging copy: n*k elements for one panel.
-  EXPECT_EQ(st.bytes_to_device, double(n) * k * sizeof(cfloat));
-  EXPECT_GE(st.uploads, 1u);
-  // The unified host backend moves nothing.
-  auto host = make_backend("host");
-  DeviceStats hst;
-  host->gemm(m, n, k, a.data(), b.data(), c.data(), nullptr, &hst);
-  EXPECT_EQ(hst.bytes_to_device, 0.0);
-}
-
-TEST(BlockedBackend, PermuteBitwiseIdenticalToHost) {
-  auto host = make_backend("host");
-  auto blocked = make_backend("blocked");
-  Rng rng(77);
-  for (int trial = 0; trial < 30; ++trial) {
-    const int r = 2 + int(rng.next_u64() % 10);
-    std::vector<int> ixs;
-    for (int i = 0; i < r; ++i) ixs.push_back(i);
-    auto t = exec::random_tensor(ixs, 4000 + uint64_t(trial));
-    std::vector<int> order = ixs;
-    for (int i = r - 1; i > 0; --i)
-      std::swap(order[size_t(i)], order[rng.next_u64() % uint64_t(i + 1)]);
-    DeviceStats st1, st2;
-    auto p1 = host->permute(t, order, &st1);
-    auto p2 = blocked->permute(t, order, &st2);
-    ASSERT_TRUE(bitwise_equal(p1, p2)) << "trial " << trial;
-    EXPECT_EQ(st1.permute_calls, 1u);
-    EXPECT_EQ(st2.permute_calls, 1u);
-  }
-}
-
-TEST(DeviceBackend, ContractMatchesRawHostPathBitwise) {
-  auto t1 = exec::random_tensor({0, 1, 2, 3, 4, 5, 6, 7}, 11);
-  auto t2 = exec::random_tensor({4, 5, 6, 7, 8, 9}, 12);
-  auto raw = exec::contract(t1, t2);
-  for (const char* name : {"host", "blocked", "simd"}) {
-    auto b = make_backend(name);
-    exec::ContractStats cs;
-    DeviceStats ds;
-    auto r = b->contract(t1, t2, nullptr, &cs, &ds);
-    EXPECT_TRUE(bitwise_equal(raw, r)) << name;
-    EXPECT_GT(cs.flops, 0.0);
-    EXPECT_EQ(ds.gemm_calls, 1u);
-  }
-}
-
-TEST(DeviceBackend, StemWindowBatchedMatchesStepLoopBitwise) {
-  // A stem-shaped chain: working tensor absorbs three rank-4 branches.
-  auto w0 = exec::random_tensor({0, 1, 2, 3, 4, 5, 6, 7}, 21);
-  std::vector<exec::Tensor> branches;
-  branches.push_back(exec::random_tensor({0, 1, 100, 101}, 22));
-  branches.push_back(exec::random_tensor({100, 2, 102, 103}, 23));
-  branches.push_back(exec::random_tensor({101, 103, 104, 105}, 24));
-
-  exec::Tensor expect = w0;
-  for (const auto& b : branches) expect = exec::contract(expect, b);
-
-  for (const char* name : {"host", "blocked", "simd"}) {
-    auto backend = make_backend(name);
-    exec::ContractStats cs;
-    DeviceStats ds;
-    size_t peak = 0;
-    auto got = backend->run_stem_window(w0, branches.data(), int(branches.size()), &cs, &ds,
-                                        &peak);
-    EXPECT_TRUE(bitwise_equal(expect, got)) << name;
-    EXPECT_EQ(ds.stem_steps, branches.size()) << name;
-    EXPECT_GE(peak, got.size()) << name;
-    if (std::string(name) == "blocked") {
-      // Staged: the window uploads w + each branch and downloads the result.
-      EXPECT_GE(ds.uploads, 1u + branches.size());
-      EXPECT_GE(ds.downloads, 1u);
-      EXPECT_GT(ds.bytes_to_device, 0.0);
-      EXPECT_GT(ds.bytes_to_host, 0.0);
-    } else {
-      EXPECT_EQ(ds.downloads, 0u);  // unified memory: nothing staged
+      exec::ContractStats cs;
+      DeviceStats ds;
+      const Tensor got = exec::contract(a, b, nullptr, &cs, prec, &ds);
+      ASSERT_TRUE(bitwise_equal(reference_contract(a, b, prec), got))
+          << exec::precision_name(prec) << " trial " << trial;
+      EXPECT_EQ(cs.flops, exec::gemm_flops(plan.m, plan.n, plan.k));
+      EXPECT_EQ(ds.gemm_calls, 1u);
+      EXPECT_EQ(ds.permute_calls, uint64_t(!plan.a_identity) + uint64_t(!plan.b_identity));
+      EXPECT_EQ(ds.bytes_to_host, 0.0);  // nothing is ever copied back
     }
   }
 }
 
-// --- whole sliced runs: every executor, every backend, bitwise ------------
+TEST(KernelPath, ContractBitwiseAcrossPoolWidths) {
+  // m = 2^10, k = 2^3, n = 2^4: past the GEMM's parallel threshold.
+  Rng rng(77);
+  std::vector<int> ia{0, 1, 2}, ib{0, 1, 2};
+  for (int e = 0; e < 10; ++e) ia.push_back(100 + e);
+  for (int e = 0; e < 4; ++e) ib.push_back(200 + e);
+  const Tensor a = shuffled_tensor(ia, rng, 100);
+  const Tensor b = shuffled_tensor(ib, rng, 101);
+  for (Precision prec : kPrecisions) {
+    const Tensor want = reference_contract(a, b, prec);
+    for (int workers : {1, 2, 3, 5}) {
+      ThreadPool pool(workers);
+      EXPECT_TRUE(bitwise_equal(want, exec::contract(a, b, &pool, nullptr, prec)))
+          << exec::precision_name(prec) << " workers=" << workers;
+    }
+  }
+}
+
+TEST(KernelPath, VectorTierReportsPackingTraffic) {
+  // n = 2^5 columns fills a lane block on every vector tier, so a vector
+  // GEMM must pack; the portable tier reads its operands in place.
+  Rng rng(5);
+  std::vector<int> ia{0, 1, 2, 3, 100, 101, 102, 103}, ib{0, 1, 2, 3};
+  for (int e = 0; e < 5; ++e) ib.push_back(200 + e);
+  const Tensor a = shuffled_tensor(ia, rng, 11);
+  const Tensor b = shuffled_tensor(ib, rng, 12);
+  DeviceStats ds;
+  exec::contract(a, b, nullptr, nullptr, Precision::kFp32, &ds);
+  EXPECT_EQ(ds.gemm_calls, 1u);
+  if (cpu_probe().active == exec::IsaTier::kPortable) {
+    EXPECT_EQ(ds.bytes_to_device, 0.0);
+    EXPECT_EQ(ds.uploads, 0u);
+  } else {
+    EXPECT_GT(ds.bytes_to_device, 0.0) << "contract() did not reach the "
+                                       << exec::isa_name(cpu_probe().active) << " kernels";
+    EXPECT_GT(ds.uploads, 0u);
+  }
+}
+
+// --- executors vs the reference composition -------------------------------
 
 struct Fixture {
   circuit::LoweredNetwork ln;
@@ -348,7 +163,7 @@ struct Fixture {
   core::SliceSet slices;
 
   exec::LeafProvider leaves() const {
-    return [this](tn::VertId v) -> const exec::Tensor& { return ln.tensors[size_t(v)]; };
+    return [this](tn::VertId v) -> const Tensor& { return ln.tensors[size_t(v)]; };
   }
 };
 
@@ -361,33 +176,114 @@ Fixture make_fixture() {
   return f;
 }
 
-TEST(RunSlicedBackends, BitwiseIdenticalAcrossBackendsExecutorsAndWorkers) {
+// The subtree under `node` for one slicing subtask, contracted in the tree
+// executor's postorder with reference contractions.
+Tensor reference_walk(const tn::ContractionTree& tree, int node, const exec::LeafProvider& leaves,
+                      const std::vector<int>& sliced, uint64_t task, Precision prec) {
+  const auto& n = tree.node(node);
+  if (n.is_leaf()) return leaves(n.leaf_vertex).fixed_all(sliced, task);
+  return reference_contract(reference_walk(tree, n.left, leaves, sliced, task, prec),
+                            reference_walk(tree, n.right, leaves, sliced, task, prec), prec);
+}
+
+// One fused window from reference contractions: the stem tensor's axes no
+// window branch touches are fixed per secondary subtask, the steps fold in
+// order, and each subtask's result fills its block of the output
+// (secondary axes leading) — the layout exec::execute_fused produces.
+Tensor reference_window(const Tensor& stem, const std::vector<Tensor>& branches,
+                        Precision prec) {
+  std::set<int> touched;
+  for (const auto& b : branches) touched.insert(b.ixs().begin(), b.ixs().end());
+  std::vector<int> secondary;
+  for (int e : stem.ixs())
+    if (touched.count(e) == 0) secondary.push_back(e);
+  Tensor out;
+  for (uint64_t s = 0; s < (uint64_t(1) << secondary.size()); ++s) {
+    Tensor w = stem.fixed_all(secondary, s);
+    for (const auto& b : branches) w = reference_contract(w, b, prec);
+    if (s == 0) {
+      std::vector<int> out_ixs = secondary;
+      out_ixs.insert(out_ixs.end(), w.ixs().begin(), w.ixs().end());
+      out = Tensor(out_ixs);
+    }
+    uint64_t block = 0;  // bit i of s is secondary[i]; secondary[0] is slowest
+    for (size_t i = 0; i < secondary.size(); ++i)
+      block |= ((s >> i) & 1) << (secondary.size() - 1 - i);
+    std::copy(w.data().begin(), w.data().end(), out.data().begin() + size_t(block) * w.size());
+  }
+  return out;
+}
+
+TEST(KernelPath, FusedStemWindowsMatchReferenceBitwise) {
+  auto f = make_fixture();
+  const auto stem = tn::extract_stem(*f.tree);
+  const auto sliced = f.slices.to_vector();
+  const auto plan = exec::plan_fused(stem, sliced, 1 << 12);
+  ASSERT_GT(plan.fused_steps(), 0);
+  ThreadPool pool(3);
+  for (Precision prec : kPrecisions) {
+    for (uint64_t task : {uint64_t(0), (uint64_t(1) << sliced.size()) - 1}) {
+      auto walk = [&](int node) {
+        return reference_walk(*f.tree, node, f.leaves(), sliced, task, prec);
+      };
+      Tensor want = walk(stem.nodes[0]);
+      for (const auto& win : plan.windows) {
+        std::vector<Tensor> branches;
+        for (int k = win.begin_step; k < win.end_step; ++k)
+          branches.push_back(walk(stem.branches[size_t(k)]));
+        want = win.in_ldm ? reference_window(want, branches, prec)
+                          : reference_contract(want, branches[0], prec);
+      }
+      exec::FusedStats fs;
+      const Tensor got = exec::execute_fused(plan, f.leaves(), task, &pool, &fs, prec);
+      EXPECT_TRUE(bitwise_equal(want, got)) << exec::precision_name(prec) << " task " << task;
+      EXPECT_GT(fs.exec.device.stem_steps, 0u);
+      EXPECT_GT(fs.exec.device.gemm_calls, fs.exec.device.stem_steps);  // + branch pre-contraction
+    }
+  }
+}
+
+TEST(KernelPath, TreeSubtaskMatchesReferenceWalkBitwise) {
+  auto f = make_fixture();
+  const auto sliced = f.slices.to_vector();
+  for (Precision prec : kPrecisions) {
+    for (uint64_t task : {uint64_t(0), (uint64_t(1) << sliced.size()) - 1}) {
+      exec::ExecStats es;
+      const Tensor got = exec::execute_tree(*f.tree, f.leaves(), sliced, task, nullptr, &es, prec);
+      EXPECT_TRUE(bitwise_equal(
+          reference_walk(*f.tree, f.tree->root(), f.leaves(), sliced, task, prec), got))
+          << exec::precision_name(prec) << " task " << task;
+      EXPECT_EQ(es.device.gemm_calls, uint64_t(f.tree->num_nodes() / 2));  // one per inner node
+    }
+  }
+}
+
+// --- whole sliced runs: every executor and worker count, bitwise ----------
+
+TEST(RunSliced, BitwiseIdenticalAcrossExecutorsAndWorkers) {
   auto f = make_fixture();
   ASSERT_GE(f.slices.size(), 2);
-
-  exec::SliceRunOptions base;
-  base.executor = exec::SliceExecutor::kInnerPool;
-  ThreadPool pool1(1);
-  base.pool = &pool1;
-  auto ref = exec::run_sliced(*f.tree, f.leaves(), f.slices, base);  // raw host path
-  ASSERT_TRUE(ref.completed);
-
-  for (const char* name : {"host", "blocked", "simd"}) {
-    auto backend = make_backend(name);
+  for (Precision prec : kPrecisions) {
+    ThreadPool pool1(1);
+    exec::SliceRunOptions base;
+    base.executor = exec::SliceExecutor::kInnerPool;
+    base.pool = &pool1;
+    base.precision = prec;
+    auto ref = exec::run_sliced(*f.tree, f.leaves(), f.slices, base);
+    ASSERT_TRUE(ref.completed);
     for (auto ex : {exec::SliceExecutor::kInnerPool, exec::SliceExecutor::kStaticPool,
                     exec::SliceExecutor::kWorkStealing}) {
       for (int workers : {1, 3}) {
         ThreadPool pool(workers);
         runtime::SliceScheduler sched(workers);
-        exec::SliceRunOptions ro;
+        exec::SliceRunOptions ro = base;
         ro.executor = ex;
         ro.pool = &pool;
         ro.scheduler = &sched;
-        ro.backend = backend.get();
         auto r = exec::run_sliced(*f.tree, f.leaves(), f.slices, ro);
         ASSERT_TRUE(r.completed);
         EXPECT_TRUE(bitwise_equal(ref.accumulated, r.accumulated))
-            << name << " executor=" << int(ex) << " workers=" << workers;
+            << exec::precision_name(prec) << " executor=" << int(ex) << " workers=" << workers;
         // DeviceStats rides the run's ExecStats and its ExecutorSnapshot.
         EXPECT_GT(r.stats.device.gemm_calls, 0u);
         EXPECT_EQ(r.executor_stats.device.gemm_calls, r.stats.device.gemm_calls);
@@ -396,53 +292,27 @@ TEST(RunSlicedBackends, BitwiseIdenticalAcrossBackendsExecutorsAndWorkers) {
   }
 }
 
-TEST(RunSlicedBackends, FusedPathBitwiseIdenticalAcrossBackends) {
+TEST(RunSliced, FusedPathBitwiseIdenticalAcrossWorkers) {
   auto f = make_fixture();
   auto stem = tn::extract_stem(*f.tree);
   auto plan = exec::plan_fused(stem, f.slices.to_vector(), 1 << 12);
-
-  ThreadPool pool1(1);
-  exec::SliceRunOptions base;
-  base.executor = exec::SliceExecutor::kInnerPool;
-  base.pool = &pool1;
-  base.fused = &plan;
-  auto ref = exec::run_sliced(*f.tree, f.leaves(), f.slices, base);
-  ASSERT_TRUE(ref.completed);
-
-  for (const char* name : {"host", "blocked", "simd"}) {
-    auto backend = make_backend(name);
+  for (Precision prec : kPrecisions) {
+    exec::Tensor ref;
     for (int workers : {1, 2}) {
       ThreadPool pool(workers);
       exec::SliceRunOptions ro;
       ro.executor = exec::SliceExecutor::kInnerPool;
       ro.pool = &pool;
       ro.fused = &plan;
-      ro.backend = backend.get();
+      ro.precision = prec;
       auto r = exec::run_sliced(*f.tree, f.leaves(), f.slices, ro);
       ASSERT_TRUE(r.completed);
-      EXPECT_TRUE(bitwise_equal(ref.accumulated, r.accumulated))
-          << name << " workers=" << workers;
-      EXPECT_GT(r.stats.device.stem_steps, 0u) << name;
+      if (workers == 1) ref = r.accumulated;
+      EXPECT_TRUE(bitwise_equal(ref, r.accumulated))
+          << exec::precision_name(prec) << " workers=" << workers;
+      EXPECT_GT(r.executor_stats.device.stem_steps, 0u);
     }
   }
-}
-
-TEST(RunSlicedBackends, BlockedReportsStagedTransfersOnFusedPath) {
-  auto f = make_fixture();
-  auto stem = tn::extract_stem(*f.tree);
-  auto plan = exec::plan_fused(stem, f.slices.to_vector(), 1 << 12);
-  auto backend = make_backend("blocked");
-  ThreadPool pool1(1);
-  exec::SliceRunOptions ro;
-  ro.executor = exec::SliceExecutor::kInnerPool;
-  ro.pool = &pool1;
-  ro.fused = &plan;
-  ro.backend = backend.get();
-  auto r = exec::run_sliced(*f.tree, f.leaves(), f.slices, ro);
-  ASSERT_TRUE(r.completed);
-  EXPECT_GT(r.executor_stats.device.bytes_to_device, 0.0);
-  EXPECT_GT(r.executor_stats.device.bytes_to_host, 0.0);
-  EXPECT_GT(r.executor_stats.device.uploads, 0u);
 }
 
 }  // namespace

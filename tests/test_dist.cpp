@@ -14,6 +14,7 @@
 //      identical to a 1-process run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <complex>
@@ -31,8 +32,10 @@
 
 #include "api/simulator.hpp"
 #include "core/greedy_slicer.hpp"
+#include "device/cpu_probe.hpp"
 #include "dist/checkpoint.hpp"
 #include "dist/elastic.hpp"
+#include "dist/job.hpp"
 #include "dist/lease.hpp"
 #include "dist/service.hpp"
 #include "dist/shard_merge.hpp"
@@ -178,7 +181,7 @@ TEST(Wire, TelemetryRoundTripsExactly) {
   t.leases = 9;
   t.reduce_merges = 511;
   t.wall_seconds = 0.123456789;
-  t.backend = "blocked";
+  t.isa = "avx2";
   t.executor.scheduled = 512;
   t.executor.stolen = 17;
   t.executor.finished = 512;
@@ -215,7 +218,7 @@ TEST(Wire, TelemetryRoundTripsExactly) {
   EXPECT_EQ(b.executor.straggler_wait_seconds, t.executor.straggler_wait_seconds);
   EXPECT_EQ(b.executor.gemm.count, t.executor.gemm.count);
   EXPECT_EQ(b.executor.gemm.seconds, t.executor.gemm.seconds);
-  EXPECT_EQ(b.backend, t.backend);
+  EXPECT_EQ(b.isa, t.isa);
   EXPECT_EQ(b.executor.device.bytes_to_device, t.executor.device.bytes_to_device);
   EXPECT_EQ(b.executor.device.gemm_calls, t.executor.device.gemm_calls);
   EXPECT_EQ(b.executor.device.stem_steps, t.executor.device.stem_steps);
@@ -223,6 +226,28 @@ TEST(Wire, TelemetryRoundTripsExactly) {
   EXPECT_EQ(b.memory.ldm_peak_elems, t.memory.ldm_peak_elems);
   EXPECT_EQ(b.exec.flops, t.exec.flops);
   EXPECT_EQ(b.exec.peak_live_elems, t.exec.peak_live_elems);
+}
+
+// v8: a Job carries its GEMM precision by name; a name this build does not
+// know is a decode error, never a silent fp32 run.
+TEST(Wire, JobPrecisionRoundTripsAndUnknownIsRejected) {
+  Job j;
+  j.circuit_text = "2\n";
+  j.bits = "00";
+  j.precision = exec::Precision::kBf16;
+  ByteWriter w;
+  put_job(w, j);
+  ByteReader r(w.buffer());
+  EXPECT_EQ(get_job(r).precision, exec::Precision::kBf16);
+  EXPECT_TRUE(r.exhausted());
+
+  std::vector<uint8_t> bytes = w.buffer();
+  const std::string name = "bf16";
+  auto it = std::search(bytes.begin(), bytes.end(), name.begin(), name.end());
+  ASSERT_NE(it, bytes.end());
+  it[3] = '7';  // "bf17"
+  ByteReader bad(bytes);
+  EXPECT_THROW(get_job(bad), std::runtime_error);
 }
 
 TEST(Wire, FramesRoundTripOverSocketpairAndEofIsClean) {
@@ -1104,86 +1129,40 @@ TEST(RunShardedElastic, StragglerIsStolenFromAndRunStaysBitwise) {
   EXPECT_GT(r.rebalance.ranges_stolen, 0u);
   EXPECT_EQ(r.rebalance.workers_lost, 0u);
   EXPECT_EQ(r.executor_stats.ranges_stolen, r.rebalance.ranges_stolen);
-}
-
-// Heterogeneous device fleet: workers run DIFFERENT backends (host and
-// blocked) under the elastic driver. Because every conforming backend is
-// bitwise identical, the merged tensor must equal the 1-process host run
-// byte for byte even though the partials were computed by different device
-// implementations — and with a deterministic speed skew on the host
-// worker, the lease ledger must rebalance (steal) around it.
-TEST(RunShardedElastic, MixedHostBlockedFleetRebalancesAndStaysBitwise) {
-  auto f = make_sliced_fixture();
-  exec::SliceRunOptions serial;
-  serial.executor = exec::SliceExecutor::kInnerPool;
-  ThreadPool pool1(1);
-  serial.pool = &pool1;
-  auto ref = exec::run_sliced(*f.tree, f.leaves(), f.slices, serial);  // pure host baseline
-  ASSERT_TRUE(ref.completed);
-
-  // Worker 0 (host backend) is dragged into a deterministic straggle so the
-  // speed skew — and therefore the steal — happens on every run, not only
-  // when the hardware happens to make blocked faster.
-  ScopedEnv slow_shard("LTNS_CHAOS_SLEEP_SHARD", "0");
-  ScopedEnv slow_ms("LTNS_CHAOS_SLEEP_MS", "150");
-  exec::ShardRunOptions so;
-  so.processes = 3;
-  so.workers_per_process = 1;
-  so.elastic = true;
-  so.lease_size = 1;
-  so.backends = {"host", "blocked", "blocked"};  // per-shard device mix
-  auto r = exec::run_sharded(*f.tree, f.leaves(), f.slices, so);
-  ASSERT_TRUE(r.completed) << r.error;
-  EXPECT_TRUE(bitwise_equal(ref.accumulated, r.accumulated))
-      << "mixed-backend fleet diverged from the 1-process host run";
-  EXPECT_GT(r.rebalance.ranges_stolen, 0u);
-  EXPECT_EQ(r.rebalance.workers_lost, 0u);
-  // Telemetry names each worker's backend and carries its device counters.
+  // Telemetry names the ISA tier each worker's kernels ran at and carries
+  // its kernel counters, per shard and in the aggregated snapshot.
   ASSERT_EQ(r.shards.size(), 3u);
-  EXPECT_EQ(r.shards[0].backend, "host");
-  EXPECT_EQ(r.shards[1].backend, "blocked");
-  EXPECT_EQ(r.shards[2].backend, "blocked");
-  uint64_t device_gemms = 0;
-  for (const auto& s : r.shards) device_gemms += s.executor.device.gemm_calls;
-  EXPECT_GT(device_gemms, 0u);
-  EXPECT_GT(r.executor_stats.device.gemm_calls, 0u);  // aggregated snapshot
+  uint64_t gemms = 0;
+  for (const auto& s : r.shards) {
+    EXPECT_EQ(s.isa, exec::isa_name(device::cpu_probe().active));
+    gemms += s.executor.device.gemm_calls;
+  }
+  EXPECT_GT(gemms, 0u);
+  EXPECT_EQ(r.executor_stats.device.gemm_calls, gemms);
 }
 
-// The static driver carries the device mix too (no leases, fixed windows).
-TEST(RunSharded, MixedBackendsBitwiseIdenticalUnderStaticDriver) {
+// GEMM precision crosses the fork: a bf16 run on 4 static shards equals
+// the 1-process bf16 run bitwise, and differs from fp32 (so the workers
+// really ran bf16 rather than a default).
+TEST(RunSharded, Bf16PrecisionReachesEveryWorkerBitwise) {
   auto f = make_sliced_fixture();
   exec::SliceRunOptions serial;
   serial.executor = exec::SliceExecutor::kInnerPool;
   ThreadPool pool1(1);
   serial.pool = &pool1;
+  auto fp32 = exec::run_sliced(*f.tree, f.leaves(), f.slices, serial);
+  serial.precision = exec::Precision::kBf16;
   auto ref = exec::run_sliced(*f.tree, f.leaves(), f.slices, serial);
+  ASSERT_TRUE(ref.completed);
+  ASSERT_FALSE(bitwise_equal(fp32.accumulated, ref.accumulated));
 
   exec::ShardRunOptions so;
   so.processes = 4;
   so.workers_per_process = 1;
-  so.backends = {"blocked", "host"};  // alternating per shard index
+  so.precision = exec::Precision::kBf16;
   auto r = exec::run_sharded(*f.tree, f.leaves(), f.slices, so);
   ASSERT_TRUE(r.completed) << r.error;
   EXPECT_TRUE(bitwise_equal(ref.accumulated, r.accumulated));
-  ASSERT_EQ(r.shards.size(), 4u);
-  EXPECT_EQ(r.shards[0].backend, "blocked");
-  EXPECT_EQ(r.shards[1].backend, "host");
-  EXPECT_EQ(r.shards[2].backend, "blocked");
-  EXPECT_EQ(r.shards[3].backend, "host");
-}
-
-// A worker asked for a nonexistent backend fails its shard with the
-// registry's error (naming the known backends) instead of dying silently.
-TEST(RunSharded, UnknownBackendSurfacesRegistryError) {
-  auto f = make_sliced_fixture();
-  exec::ShardRunOptions so;
-  so.processes = 2;
-  so.workers_per_process = 1;
-  so.backend = "tpu";
-  auto r = exec::run_sharded(*f.tree, f.leaves(), f.slices, so);
-  EXPECT_FALSE(r.completed);
-  EXPECT_NE(r.error.find("unknown device backend"), std::string::npos) << r.error;
-  EXPECT_NE(r.error.find("blocked"), std::string::npos) << r.error;
 }
 
 // The fork-time fault hook (dies before its first lease request): the

@@ -7,6 +7,10 @@
 #include "circuit/circuit.hpp"
 #include "circuit/lowering.hpp"
 #include "core/planner.hpp"
+#include "exec/contract.hpp"
+#include "exec/gemm.hpp"
+#include "exec/permute.hpp"
+#include "exec/simd_kernels.hpp"
 #include "exec/tensor.hpp"
 #include "path/greedy.hpp"
 #include "tn/contraction_tree.hpp"
@@ -19,6 +23,22 @@ namespace ltns::test {
 inline bool bitwise_equal(const exec::Tensor& a, const exec::Tensor& b) {
   return a.ixs() == b.ixs() && a.size() == b.size() &&
          std::memcmp(a.raw(), b.raw(), a.size() * sizeof(exec::cfloat)) == 0;
+}
+
+// The reference composition exec::contract must reproduce bit for bit:
+// exec::permute + exec::cgemm at fp32, the portable bf16 chain at bf16.
+inline exec::Tensor reference_contract(const exec::Tensor& a, const exec::Tensor& b,
+                                       exec::Precision prec = exec::Precision::kFp32) {
+  const exec::ContractPlan p = exec::plan_contract(a.ixs(), b.ixs());
+  const exec::Tensor ap = exec::permute(a, p.a_order);
+  const exec::Tensor bp = exec::permute(b, p.b_order);
+  exec::Tensor out(p.out_ixs);
+  if (prec == exec::Precision::kFp32)
+    exec::cgemm(p.m, p.n, p.k, ap.raw(), bp.raw(), out.raw());
+  else
+    exec::cgemm_simd(exec::IsaTier::kPortable, prec, p.m, p.n, p.k, ap.raw(), bp.raw(),
+                     out.raw());
+  return out;
 }
 
 // A small RQC on a rows x cols grid.

@@ -1,13 +1,13 @@
-// Property-based parity suite for the vectorized kernel tiers (PR: simd
-// device backend).
+// Property-based parity suite for the vectorized kernel tiers.
 //
 // Two contracts are enforced here:
-//   * fp32: every compiled ISA tier and every registered backend reproduces
-//     the host kernels BITWISE — memcmp, no tolerance — across fuzzed
-//     shapes, lane tails that do not fill a vector register, K extents that
-//     straddle the panel width, and deliberately misaligned operands.
-//   * bf16 mixed precision: deterministic (bitwise identical across tiers,
-//     backends and pool widths), and its distance from the fp32 reference
+//   * fp32: every compiled ISA tier, and exec::contract at the probed tier,
+//     reproduces the scalar reference kernels BITWISE — memcmp, no
+//     tolerance — across fuzzed shapes, lane tails that do not fill a vector
+//     register, K extents that straddle the panel width, degenerate
+//     extents, and deliberately misaligned operands.
+//   * bf16 mixed precision: deterministic (bitwise identical across tiers
+//     and pool widths), and its distance from the fp32 reference
 //     is pinned by a checked-in ULP-regression corpus. A pin mismatch in
 //     EITHER direction fails: growing error is a broken kernel, shrinking
 //     error is a changed numeric contract that must be re-pinned on purpose.
@@ -18,10 +18,9 @@
 #include <string>
 #include <vector>
 
-#include "device/backend.hpp"
 #include "device/cpu_probe.hpp"
+#include "exec/contract.hpp"
 #include "exec/gemm.hpp"
-#include "exec/mixed_gemm.hpp"
 #include "exec/permute.hpp"
 #include "exec/simd_kernels.hpp"
 #include "exec/tensor.hpp"
@@ -53,7 +52,7 @@ AlignedCfloatVec random_buf(size_t n, uint64_t seed) {
 }
 
 bool same_bits(const cfloat* a, const cfloat* b, size_t n) {
-  return std::memcmp(a, b, n * sizeof(cfloat)) == 0;
+  return n == 0 || std::memcmp(a, b, n * sizeof(cfloat)) == 0;  // empty data() may be null
 }
 
 std::vector<IsaTier> vector_tiers() {
@@ -101,6 +100,28 @@ TEST(KernelsParityFp32, FuzzRandomShapesBitwise) {
     cgemm_simd(tier, Precision::kFp32, m, n, k, a.data(), b.data(), got.data());
     ASSERT_TRUE(same_bits(want.data(), got.data(), want.size()))
         << isa_name(tier) << " trial=" << trial << " m=" << m << " n=" << n << " k=" << k;
+  }
+}
+
+TEST(KernelsParityFp32, DegenerateAndNarrowShapesEveryTier) {
+  // Empty extents leave C untouched (m or n = 0) or zero it (k = 0); the
+  // narrow shapes are the bandwidth-bound regime of stem contractions.
+  const struct { int m, n, k; } shapes[] = {
+      {0, 4, 4},    {4, 0, 4},    {4, 4, 0},   {1, 1, 1},     {5, 7, 3},
+      {4096, 4, 4}, {4, 4096, 4}, {2, 2, 1024}, {100, 100, 1}, {17, 259, 300},
+  };
+  uint64_t seed = 40;
+  for (const auto& s : shapes) {
+    auto a = random_buf(size_t(s.m) * size_t(std::max(s.k, 1)), seed++);
+    auto b = random_buf(size_t(std::max(s.k, 1)) * size_t(s.n), seed++);
+    AlignedCfloatVec want(size_t(s.m) * s.n, cfloat{7, 7});
+    cgemm(s.m, s.n, s.k, a.data(), b.data(), want.data());
+    for (IsaTier tier : compiled_isa_tiers()) {
+      AlignedCfloatVec got(size_t(s.m) * s.n, cfloat{7, 7});
+      cgemm_simd(tier, Precision::kFp32, s.m, s.n, s.k, a.data(), b.data(), got.data());
+      ASSERT_TRUE(same_bits(want.data(), got.data(), want.size()))
+          << isa_name(tier) << " m=" << s.m << " n=" << s.n << " k=" << s.k;
+    }
   }
 }
 
@@ -177,54 +198,36 @@ TEST(KernelsParityPermute, ElementGranularGatherPathBitwise) {
   }
 }
 
-// --- backend-level parity: every registered backend vs host ---------------
+// --- the one kernel path: contract() at the probed tier vs reference -----
 
-TEST(KernelsParityBackends, GemmBitwiseAcrossAllAvailableSpecs) {
-  Rng rng(0xabcd);
-  for (const auto& info : device::available_backends()) {
-    if (!info.caps.available) continue;
-    for (const char* suffix : {"", "+fp32", "+bf16"}) {
-      const std::string spec = info.name + suffix;
-      auto backend = device::make_backend(spec);
-      auto host = device::make_backend("host" + std::string(suffix));
-      for (int trial = 0; trial < 12; ++trial) {
-        const int m = rng.next_int(1, 33);
-        const int n = rng.next_int(1, 65);
-        const int k = rng.next_int(1, 520);
-        auto a = random_buf(size_t(m) * k, 7000 + uint64_t(trial));
-        auto b = random_buf(size_t(k) * n, 8000 + uint64_t(trial));
-        AlignedCfloatVec want(size_t(m) * n), got(size_t(m) * n);
-        host->gemm(m, n, k, a.data(), b.data(), want.data(), nullptr, nullptr);
-        backend->gemm(m, n, k, a.data(), b.data(), got.data(), nullptr, nullptr);
-        ASSERT_TRUE(same_bits(want.data(), got.data(), want.size()))
-            << spec << " m=" << m << " n=" << n << " k=" << k;
-      }
-    }
-  }
-}
-
-TEST(KernelsParityBackends, StemWindowBitwiseAcrossAllAvailableSpecs) {
+TEST(KernelsParityContract, StemChainBitwiseVsReference) {
+  // A stem-shaped chain: the working tensor absorbs three rank-4 branches,
+  // each step through exec::contract at device::cpu_probe()'s tier.
   auto w0 = random_tensor({0, 1, 2, 3, 4, 5, 6, 7}, 61);
   std::vector<Tensor> branches;
   branches.push_back(random_tensor({0, 1, 100, 101}, 62));
   branches.push_back(random_tensor({100, 2, 102, 103}, 63));
   branches.push_back(random_tensor({101, 103, 104, 105}, 64));
-  for (const char* suffix : {"", "+bf16"}) {
-    exec::ContractStats hcs;
-    device::DeviceStats hds;
-    auto want = device::make_backend("host" + std::string(suffix))
-                    ->run_stem_window(w0, branches.data(), int(branches.size()), &hcs, &hds);
-    for (const auto& info : device::available_backends()) {
-      if (!info.caps.available) continue;
-      const std::string spec = info.name + suffix;
-      exec::ContractStats cs;
-      device::DeviceStats ds;
-      auto got = device::make_backend(spec)->run_stem_window(w0, branches.data(),
-                                                             int(branches.size()), &cs, &ds);
-      EXPECT_TRUE(bitwise_equal(want, got)) << spec;
-      EXPECT_EQ(ds.stem_steps, branches.size()) << spec;
+  for (Precision prec : {Precision::kFp32, Precision::kBf16}) {
+    Tensor want = w0, got = w0;
+    for (const auto& b : branches) {
+      want = test::reference_contract(want, b, prec);
+      got = contract(got, b, nullptr, nullptr, prec);
     }
+    EXPECT_TRUE(bitwise_equal(want, got)) << precision_name(prec);
   }
+}
+
+TEST(KernelsParityContract, PrecisionNamesRoundTrip) {
+  for (Precision prec : {Precision::kFp32, Precision::kBf16}) {
+    Precision parsed = prec == Precision::kFp32 ? Precision::kBf16 : Precision::kFp32;
+    EXPECT_TRUE(parse_precision(precision_name(prec), &parsed));
+    EXPECT_EQ(parsed, prec);
+  }
+  Precision untouched = Precision::kBf16;
+  for (const char* bad : {"", "fp64", "BF16", "bf16 ", "host+bf16"})
+    EXPECT_FALSE(parse_precision(bad, &untouched)) << bad;
+  EXPECT_EQ(untouched, Precision::kBf16);
 }
 
 // --- bf16 mixed precision: determinism -------------------------------------
@@ -239,7 +242,8 @@ TEST(KernelsParityBf16, BitwiseIdenticalAcrossTiers) {
     auto a = random_buf(size_t(m) * k, seed++);
     auto b = random_buf(size_t(k) * n, seed++);
     AlignedCfloatVec want(size_t(m) * n);
-    cgemm_mixed(m, n, k, a.data(), b.data(), want.data());  // portable reference
+    // Portable reference chain.
+    cgemm_simd(IsaTier::kPortable, Precision::kBf16, m, n, k, a.data(), b.data(), want.data());
     for (IsaTier tier : vector_tiers()) {
       AlignedCfloatVec got(size_t(m) * n);
       cgemm_simd(tier, Precision::kBf16, m, n, k, a.data(), b.data(), got.data());
@@ -273,7 +277,7 @@ int64_t corpus_max_ulp(int m, int n, int k, uint64_t seed) {
   auto b = random_buf(size_t(k) * n, seed + 1);
   AlignedCfloatVec fp32(size_t(m) * n), bf16(size_t(m) * n);
   cgemm(m, n, k, a.data(), b.data(), fp32.data());
-  cgemm_mixed(m, n, k, a.data(), b.data(), bf16.data());
+  cgemm_simd(IsaTier::kPortable, Precision::kBf16, m, n, k, a.data(), b.data(), bf16.data());
   float scale = 0.f;
   for (const auto& v : fp32) {
     scale = std::max(scale, std::fabs(v.real()));
@@ -334,7 +338,6 @@ TEST(KernelsParityProbe, ActiveTierIsCompiledAndLanesAgree) {
   const auto& p = device::cpu_probe();
   const auto tiers = compiled_isa_tiers();
   EXPECT_NE(std::find(tiers.begin(), tiers.end(), p.active), tiers.end());
-  EXPECT_EQ(device::probe_simd_lanes(), isa_lanes(p.active));
   EXPECT_FALSE(device::probe_isa_label().empty());
 }
 

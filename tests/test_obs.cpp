@@ -237,14 +237,18 @@ TEST(Metrics, FillRunMetricsCoversEverySubsystem) {
   for (const char* name :
        {"ltns_tasks_finished_total", "ltns_phase_seconds_total", "ltns_device_bytes_total",
         "ltns_memory_bytes_total", "ltns_leases_completed_total", "ltns_run_wall_seconds",
-        "ltns_reduce_merges_total", "ltns_kernel_isa_lanes", "ltns_kernel_seconds_total"}) {
+        "ltns_reduce_merges_total", "ltns_kernel_isa_lanes", "ltns_device_kernel_calls_total"}) {
     EXPECT_NE(json.find(std::string("\"name\":\"") + name + "\""), std::string::npos) << name;
   }
-  // The full unified schema: 47 series (7 runtime + 9 phase + 9 device +
-  // 7 memory + 9 rebalance + 6 per-ISA kernel). Growing this number is
-  // fine; shrinking it or renaming a series is a schema break
+  // One name per quantity: kernel time is ltns_phase_seconds_total and
+  // kernel calls are ltns_device_kernel_calls_total, never a second series.
+  for (const char* gone : {"ltns_kernel_seconds_total", "ltns_kernel_calls_total"})
+    EXPECT_EQ(json.find(std::string("\"name\":\"") + gone + "\""), std::string::npos) << gone;
+  // The full unified schema: 43 series (7 runtime + 9 phase + 9 device +
+  // 7 memory + 9 rebalance + 2 ISA tier). Growing this number is fine;
+  // shrinking it or renaming a series is a schema break
   // (docs/observability.md).
-  EXPECT_EQ(reg.metrics().size(), 47u);
+  EXPECT_EQ(reg.metrics().size(), 43u);
 }
 
 TEST(BuildInfo, ExposesVersionCompilerAndJson) {

@@ -122,6 +122,19 @@ void BM_PermuteFullMap(benchmark::State& state) {
 }
 BENCHMARK(BM_PermuteFullMap)->Arg(10)->Arg(14)->Arg(18);
 
+// Map construction alone, for a full reversal (no trailing block): the
+// setup every permute pays before it moves data.
+void BM_PermuteMapBuild(benchmark::State& state) {
+  const int r = int(state.range(0));
+  std::vector<int> perm;
+  for (int i = r - 1; i >= 0; --i) perm.push_back(i);
+  for (auto _ : state) {
+    exec::PermuteMap map(perm, r);
+    benchmark::DoNotOptimize(map.table_entries());
+  }
+}
+BENCHMARK(BM_PermuteMapBuild)->Arg(10)->Arg(14)->Arg(18);
+
 void BM_SliceGather(benchmark::State& state) {
   const int r = int(state.range(0));
   std::vector<int> ixs;

@@ -23,7 +23,7 @@ set -euo pipefail
 CLI=${1:-build/ltns_cli}
 PORT=${2:-39423}
 DIR=$(mktemp -d)
-trap 'kill $(jobs -p) 2>/dev/null; rm -rf "$DIR"' EXIT
+trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$DIR"' EXIT
 
 CACHE="$DIR/cache"
 BITS=010101010

@@ -20,7 +20,7 @@ set -euo pipefail
 CLI=${1:-build/ltns_cli}
 PORT=${2:-39415}
 DIR=$(mktemp -d)
-trap 'kill $(jobs -p) 2>/dev/null; rm -rf "$DIR"' EXIT
+trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$DIR"' EXIT
 
 echo "== baselines =="
 "$CLI" gen 3 3 8 5 > "$DIR/c1.qc"

@@ -34,6 +34,15 @@ ContractPlan plan_contract(const std::vector<int>& a_ixs, const std::vector<int>
   return p;
 }
 
+Tensor permute_operand(const Tensor& t, const std::vector<int>& order, ContractStats* stats,
+                       device::DeviceStats* dstats) {
+  ScopedSeconds st(stats != nullptr ? &stats->permute_seconds : nullptr);
+  obs::TraceScope tr(obs::EventKind::kPermute, t.size());
+  if (stats) stats->permute_elems += double(t.size());
+  if (dstats) dstats->permute_calls += 1;
+  return permute_simd(device::cpu_probe().active, t, order);
+}
+
 Tensor contract(const Tensor& a, const Tensor& b, ThreadPool* pool, ContractStats* stats,
                 Precision prec, device::DeviceStats* dstats) {
   ContractPlan p = plan_contract(a.ixs(), b.ixs());
@@ -42,22 +51,13 @@ Tensor contract(const Tensor& a, const Tensor& b, ThreadPool* pool, ContractStat
   const Tensor* ap = &a;
   const Tensor* bp = &b;
   Tensor a_tmp, b_tmp;
-  if (!p.a_identity || !p.b_identity) {
-    ScopedSeconds st(stats != nullptr ? &stats->permute_seconds : nullptr);
-    obs::TraceScope tr(obs::EventKind::kPermute,
-                       (!p.a_identity ? a.size() : 0) + (!p.b_identity ? b.size() : 0));
-    if (!p.a_identity) {
-      a_tmp = permute_simd(tier, a, p.a_order);
-      ap = &a_tmp;
-      if (stats) stats->permute_elems += double(a.size());
-      if (dstats) dstats->permute_calls += 1;
-    }
-    if (!p.b_identity) {
-      b_tmp = permute_simd(tier, b, p.b_order);
-      bp = &b_tmp;
-      if (stats) stats->permute_elems += double(b.size());
-      if (dstats) dstats->permute_calls += 1;
-    }
+  if (!p.a_identity) {
+    a_tmp = permute_operand(a, p.a_order, stats, dstats);
+    ap = &a_tmp;
+  }
+  if (!p.b_identity) {
+    b_tmp = permute_operand(b, p.b_order, stats, dstats);
+    bp = &b_tmp;
   }
 
   Tensor out(p.out_ixs);

@@ -50,6 +50,13 @@ Tensor contract(const Tensor& a, const Tensor& b, ThreadPool* pool = nullptr,
                 ContractStats* stats = nullptr, Precision prec = Precision::kFp32,
                 device::DeviceStats* dstats = nullptr);
 
+// One operand permute on the kernel path (the probed tier), counted the way
+// contract() counts its own: permute_elems and permute_seconds in `stats`,
+// one permute call in `dstats`, one trace event. The fused windows use it
+// to lay out each branch once per task instead of once per subtask.
+Tensor permute_operand(const Tensor& t, const std::vector<int>& order,
+                       ContractStats* stats = nullptr, device::DeviceStats* dstats = nullptr);
+
 // Reference implementation: explicit loops over all index assignments.
 // Exponential; for tests on small tensors only.
 Tensor contract_naive(const Tensor& a, const Tensor& b);

@@ -150,8 +150,9 @@ struct WindowExec {
   Precision prec;
 
   // Executes window `win` on current stem tensor `T` with pre-contracted
-  // branch tensors; returns the new stem tensor.
-  Tensor run(const FusedWindow& win, const Tensor& T, const std::vector<Tensor>& branches) {
+  // branch tensors, which it leaves in their GEMM layouts; returns the new
+  // stem tensor.
+  Tensor run(const FusedWindow& win, const Tensor& T, std::vector<Tensor>& branches) {
     const tn::TensorNetwork& net = *plan.stem->tree->network();
 
     // Secondary slice set: T's indices untouched by the window's branches.
@@ -171,17 +172,33 @@ struct WindowExec {
     }
     assert(int(secondary.size()) == win.secondary_count);
 
-    // Dry-run the first subtask shape to learn the output layout.
+    // Every subtask folds the same index chain, so the branch layouts are
+    // loop-invariant: walk the chain once from the kept axes and permute
+    // each branch into its GEMM order here, once per task. A branch serves
+    // only this window, so its laid-out copy replaces it. The subtasks'
+    // contract() then finds b_identity and permutes only the stem side.
+    std::vector<int> w_ixs = kept;
+    ExecStats hoist;
+    for (int k = win.begin_step; k < win.end_step; ++k) {
+      Tensor& b = branches[size_t(k)];
+      const ContractPlan p = plan_contract(w_ixs, b.ixs());
+      if (!p.b_identity) {
+        ContractStats cs;
+        b = permute_operand(b, p.b_order, &cs, &hoist.device);
+        hoist.add(cs);
+      }
+      w_ixs = p.out_ixs;
+    }
+    if (stats) stats->exec.merge(hoist);
+
     // Output tensor: secondary axes leading (so each subtask's DMA-put is
     // one contiguous block), then the final working layout.
+    std::vector<int> out_ixs = secondary;
+    out_ixs.insert(out_ixs.end(), w_ixs.begin(), w_ixs.end());
+    Tensor out(out_ixs);
     const uint64_t n_sub = uint64_t(1) << secondary.size();
     const size_t get_block = tail_block_elems(T, secondary_set);
-
-    // All subtasks share these read-only inputs.
     std::mutex merge_mu;
-    Tensor out;               // allocated after first subtask reveals layout
-    std::vector<int> w_ixs;   // final working-layout ixs
-    bool out_ready = false;
 
     auto run_subtask = [&](uint64_t s) {
       ExecStats es;
@@ -205,26 +222,13 @@ struct WindowExec {
         ds.record_get(double(b.size()) * kBytesPerElem, double(b.size()) * kBytesPerElem);
         ContractStats cs;
         Tensor wn = contract(w, b, nullptr, &cs, prec, &es.device);
-        es.flops += cs.flops;
-        es.permute_elems += cs.permute_elems;
-        es.gemm_seconds += cs.gemm_seconds;
-        es.permute_seconds += cs.permute_seconds;
+        es.add(cs);
         es.device.stem_steps += 1;
         ldm_peak = std::max(ldm_peak, w.size() + b.size() + wn.size());
         w = std::move(wn);
       }
       assert(ldm_peak <= plan.ldm_elems || !win.in_ldm);
 
-      {
-        std::lock_guard<std::mutex> lk(merge_mu);
-        if (!out_ready) {
-          w_ixs = w.ixs();
-          std::vector<int> out_ixs = secondary;
-          out_ixs.insert(out_ixs.end(), w_ixs.begin(), w_ixs.end());
-          out = Tensor(out_ixs);
-          out_ready = true;
-        }
-      }
       // Subtask writes its contiguous block (the DMA-put / stacking step).
       // fixed_all assigns bit i of `s` to secondary[i]; in the output layout
       // secondary[0] is the slowest axis, so the block index mirrors s.
@@ -246,15 +250,11 @@ struct WindowExec {
       }
     };
 
-    // The first subtask runs alone to fix the output layout; the rest in
-    // parallel on the CPE grid.
-    run_subtask(0);
-    if (n_sub > 1) {
-      if (pool != nullptr) {
-        pool->parallel_for_each(size_t(n_sub - 1), [&](size_t idx) { run_subtask(idx + 1); });
-      } else {
-        for (uint64_t s = 1; s < n_sub; ++s) run_subtask(s);
-      }
+    // Subtasks run in parallel on the CPE grid.
+    if (pool != nullptr) {
+      pool->parallel_for_each(size_t(n_sub), run_subtask);
+    } else {
+      for (uint64_t s = 0; s < n_sub; ++s) run_subtask(s);
     }
     return out;
   }
@@ -267,19 +267,20 @@ Tensor execute_fused(const FusedPlan& plan, const LeafProvider& leaves, uint64_t
   const tn::Stem& stem = *plan.stem;
   const tn::ContractionTree& tree = *stem.tree;
 
-  // Pre-contract the branches and the bottom stem tensor.
+  // The bottom stem tensor, then each window's branches just before the
+  // window runs: a task holds one window's branches at a time.
   ExecStats branch_stats;
+  auto subtree = [&](int node) {
+    return execute_subtree(tree, node, leaves, plan.process_sliced, assignment, pool,
+                           &branch_stats, prec);
+  };
+  Tensor cur = subtree(stem.nodes[0]);
   std::vector<Tensor> branches(size_t(stem.length() - 1));
-  for (int k = 0; k + 1 < stem.length(); ++k)
-    branches[size_t(k)] = execute_subtree(tree, stem.branches[size_t(k)], leaves,
-                                          plan.process_sliced, assignment, pool, &branch_stats,
-                                          prec);
-  Tensor cur = execute_subtree(tree, stem.nodes[0], leaves, plan.process_sliced, assignment,
-                               pool, &branch_stats, prec);
-  if (stats) stats->exec.merge(branch_stats);
 
   WindowExec we{plan, pool, stats, prec};
   for (const auto& win : plan.windows) {
+    for (int k = win.begin_step; k < win.end_step; ++k)
+      branches[size_t(k)] = subtree(stem.branches[size_t(k)]);
     if (win.in_ldm) {
       cur = we.run(win, cur, branches);
     } else {
@@ -289,16 +290,16 @@ Tensor execute_fused(const FusedPlan& plan, const LeafProvider& leaves, uint64_t
       Tensor next =
           contract(cur, b, pool, &cs, prec, stats ? &stats->exec.device : nullptr);
       if (stats) {
-        stats->exec.flops += cs.flops;
-        stats->exec.permute_elems += cs.permute_elems;
-        stats->exec.gemm_seconds += cs.gemm_seconds;
-        stats->exec.permute_seconds += cs.permute_seconds;
+        stats->exec.add(cs);
         stats->dma.record_get(double(cur.size() + b.size()) * kBytesPerElem, 512.0);
         stats->dma.record_put(double(next.size()) * kBytesPerElem, 512.0);
       }
       cur = std::move(next);
     }
+    // Each branch serves one window; release it once the window is done.
+    for (int k = win.begin_step; k < win.end_step; ++k) branches[size_t(k)].drop();
   }
+  if (stats) stats->exec.merge(branch_stats);
   return cur;
 }
 
@@ -320,10 +321,7 @@ Tensor execute_stem_stepwise(const tn::Stem& stem, const LeafProvider& leaves,
     ContractStats cs;
     Tensor next = contract(cur, b, pool, &cs, prec, stats ? &stats->exec.device : nullptr);
     if (stats) {
-      stats->exec.flops += cs.flops;
-      stats->exec.permute_elems += cs.permute_elems;
-      stats->exec.gemm_seconds += cs.gemm_seconds;
-      stats->exec.permute_seconds += cs.permute_seconds;
+      stats->exec.add(cs);
       // Every step round-trips the operands and result through main memory.
       stats->dma.record_get(double(cur.size() + b.size()) * kBytesPerElem, 512.0);
       stats->dma.record_put(double(next.size()) * kBytesPerElem, 512.0);

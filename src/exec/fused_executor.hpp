@@ -81,9 +81,11 @@ struct FusedStats {
 };
 
 // Executes the whole stem for one process-level subtask. Branches are
-// pre-contracted with the step-by-step executor (their cost is counted into
-// `stats->exec` as the paper counts branch pre-conditioning). `prec` is the
-// GEMM operand precision of every contraction.
+// pre-contracted with the step-by-step executor just before their window
+// runs (their cost is counted into `stats->exec` as the paper counts branch
+// pre-conditioning), and a window permutes each branch into its GEMM layout
+// once, not once per secondary subtask. `prec` is the GEMM operand
+// precision of every contraction.
 Tensor execute_fused(const FusedPlan& plan, const LeafProvider& leaves, uint64_t assignment,
                      ThreadPool* pool = nullptr, FusedStats* stats = nullptr,
                      Precision prec = Precision::kFp32);

@@ -45,25 +45,37 @@ PermuteMap::PermuteMap(const std::vector<int>& perm, int rank) : rank_(rank) {
   while (m < rank && perm[size_t(rank - 1 - m)] == rank - 1 - m) ++m;
   block_axes_ = m;
   const int lead = rank - m;
-  // in-bit position for each *leading* out bit p (block bits excluded).
-  std::vector<int> srcpos(static_cast<size_t>(lead), 0);
-  for (int j = 0; j < lead; ++j) srcpos[size_t(lead - 1 - j)] = rank - 1 - perm[size_t(j)];
-  map_.resize(size_t(1) << lead);
-  for (size_t o = 0; o < map_.size(); ++o) {
-    size_t in = 0;
-    for (int p = 0; p < lead; ++p) in |= ((o >> p) & 1) << srcpos[size_t(p)];
-    map_[o] = uint32_t(in);
-  }
+  const int h = lead - lead / 2;
+  lo_len_ = size_t(1) << h;
+  table_.resize(lo_len_ + (size_t(1) << (lead - h)));
+  // Leading out bit p reads in bit rank-1-perm[lead-1-p]. A table over out
+  // bits [p0, p0+bits) doubles once per bit: the entries with bit q set
+  // are the ones below it plus q's contribution.
+  auto fill = [&](uint32_t* t, int p0, int bits) {
+    t[0] = 0;
+    for (int q = 0; q < bits; ++q) {
+      const uint32_t c = uint32_t(1) << (rank - 1 - perm[size_t(lead - 1 - (p0 + q))]);
+      const size_t half = size_t(1) << q;
+      for (size_t i = 0; i < half; ++i) t[half + i] = t[i] | c;
+    }
+  };
+  fill(table_.data(), 0, h);
+  fill(table_.data() + lo_len_, h, lead - h);
 }
 
 void PermuteMap::apply(const cfloat* in, cfloat* out) const {
   const size_t block = block_elems();
-  if (block == 1) {
-    for (size_t o = 0; o < map_.size(); ++o) out[o] = in[map_[o]];
-    return;
+  const uint32_t* l = lo();
+  for (size_t x = 0; x < rows(); ++x) {
+    const cfloat* src = in + hi()[x];
+    if (block == 1) {
+      for (size_t y = 0; y < lo_len_; ++y) out[y] = src[l[y]];
+    } else {
+      for (size_t y = 0; y < lo_len_; ++y)
+        std::memcpy(out + y * block, src + l[y], block * sizeof(cfloat));
+    }
+    out += lo_len_ * block;
   }
-  for (size_t o = 0; o < map_.size(); ++o)
-    std::memcpy(out + o * block, in + map_[o], block * sizeof(cfloat));
 }
 
 Tensor permute(const Tensor& t, const std::vector<int>& new_ixs, PermuteStats* stats) {

@@ -357,6 +357,22 @@ void mixed_rows_portable(int m0, int m1, int n, int k, const cfloat* a, const cf
   }
 }
 
+void gather_scalar(const uint32_t* map, const cfloat* in, cfloat* out, size_t n) {
+  for (size_t o = 0; o < n; ++o) out[o] = in[map[o]];
+}
+
+// Factored-map block copy: output row x holds n blocks read from
+// in + hi[x] + lo[y]. B != 0 fixes the block size at compile time.
+template <size_t B>
+void copy_blocks(size_t rows, size_t n, const uint32_t* hi, const uint32_t* lo, const cfloat* in,
+                 cfloat* out, size_t block = B) {
+  const size_t bs = B != 0 ? B : block;
+  for (size_t x = 0; x < rows; ++x) {
+    const cfloat* src = in + hi[x];
+    for (size_t y = 0; y < n; ++y, out += bs) std::memcpy(out, src + lo[y], bs * sizeof(cfloat));
+  }
+}
+
 }  // namespace
 
 const char* isa_name(IsaTier t) {
@@ -445,34 +461,30 @@ void cgemm_simd(IsaTier tier, Precision prec, int m, int n, int k, const cfloat*
 
 void permute_apply_simd(IsaTier tier, const PermuteMap& map, const cfloat* in, cfloat* out) {
   const size_t block = map.block_elems();
-  const uint32_t* mp = map.map_data();
-  const size_t nmap = map.map_entries();
+  const size_t rows = map.rows();
+  const size_t n = map.row_len();
+  const uint32_t* hi = map.hi();
+  const uint32_t* lo = map.lo();
   if (block == 1) {
-    // Element-granular map: hardware gather where the tier has one.
+    // Element-granular map: hardware gather where the tier has one, one
+    // gather pass per row from base in + hi[x] through the lo table.
+    void (*gather)(const uint32_t*, const cfloat*, cfloat*, size_t) = gather_scalar;
 #ifdef LTNS_SIMD_X86
-    if (tier == IsaTier::kAvx512) {
-      gather_avx512(mp, in, out, nmap);
-      return;
-    }
-    if (tier == IsaTier::kAvx2) {
-      gather_avx2(mp, in, out, nmap);
-      return;
-    }
+    if (tier == IsaTier::kAvx512) gather = gather_avx512;
+    if (tier == IsaTier::kAvx2) gather = gather_avx2;
 #endif
     (void)tier;
-    for (size_t o = 0; o < nmap; ++o) out[o] = in[mp[o]];
+    for (size_t x = 0; x < rows; ++x) gather(lo, in + hi[x], out + x * n, n);
     return;
   }
   // Blocked copies: fixed-size copies compile to straight vector moves; the
   // generic memcpy already saturates bandwidth for larger blocks.
-  if (block == 2) {
-    for (size_t o = 0; o < nmap; ++o) std::memcpy(out + o * 2, in + mp[o], 2 * sizeof(cfloat));
-  } else if (block == 4) {
-    for (size_t o = 0; o < nmap; ++o) std::memcpy(out + o * 4, in + mp[o], 4 * sizeof(cfloat));
-  } else {
-    for (size_t o = 0; o < nmap; ++o)
-      std::memcpy(out + o * block, in + mp[o], block * sizeof(cfloat));
-  }
+  if (block == 2)
+    copy_blocks<2>(rows, n, hi, lo, in, out);
+  else if (block == 4)
+    copy_blocks<4>(rows, n, hi, lo, in, out);
+  else
+    copy_blocks<0>(rows, n, hi, lo, in, out, block);
 }
 
 Tensor permute_simd(IsaTier tier, const Tensor& t, const std::vector<int>& new_ixs,

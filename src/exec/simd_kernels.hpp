@@ -87,9 +87,11 @@ void cgemm_simd(IsaTier tier, Precision prec, int m, int n, int k, const cfloat*
                 const cfloat* b, cfloat* c, ThreadPool* pool = nullptr,
                 SimdPackStats* pack = nullptr);
 
-// Vectorized PermuteMap application: hardware gather for element-granular
-// maps (AVX2/AVX-512), width-specialized block copies otherwise. Pure data
-// movement — bitwise identical to PermuteMap::apply on every tier.
+// Vectorized PermuteMap application, one pass per row of the factored map:
+// hardware gather from base in + hi[x] through the lo table for
+// element-granular maps (AVX2/AVX-512), width-specialized block copies
+// otherwise. Pure data movement — bitwise identical to PermuteMap::apply
+// on every tier.
 void permute_apply_simd(IsaTier tier, const PermuteMap& map, const cfloat* in, cfloat* out);
 
 // exec::permute through the vectorized apply (identity permutations are

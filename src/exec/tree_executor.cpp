@@ -17,6 +17,13 @@ void ExecStats::merge(const ExecStats& o) {
   device.merge(o.device);
 }
 
+void ExecStats::add(const ContractStats& cs) {
+  flops += cs.flops;
+  permute_elems += cs.permute_elems;
+  gemm_seconds += cs.gemm_seconds;
+  permute_seconds += cs.permute_seconds;
+}
+
 namespace {
 
 struct Runner {
@@ -61,10 +68,7 @@ struct Runner {
         ContractStats cs;
         Tensor out = contract(a, b, pool, &cs, prec, stats ? &stats->device : nullptr);
         if (stats) {
-          stats->flops += cs.flops;
-          stats->permute_elems += cs.permute_elems;
-          stats->gemm_seconds += cs.gemm_seconds;
-          stats->permute_seconds += cs.permute_seconds;
+          stats->add(cs);
           // Step-by-step traffic: read both operands, write the result,
           // plus the transpose round-trips.
           stats->bytes_main +=

@@ -29,6 +29,8 @@ struct ExecStats {
   device::DeviceStats device;  // kernel-call and packing telemetry
 
   void merge(const ExecStats& o);
+  // Folds one contraction's flops, permute and GEMM figures in.
+  void add(const ContractStats& cs);
   // Arithmetic intensity (flop per main-memory byte).
   double arithmetic_intensity() const { return bytes_main > 0 ? flops / bytes_main : 0; }
 };

@@ -32,7 +32,7 @@ namespace ltns::obs {
 enum class EventKind : uint16_t {
   kSlice = 0,         // one slicing subtask               args: task
   kGemm,              // contract() GEMM phase             args: m*n, k
-  kPermute,           // contract() permutation phase      args: elems
+  kPermute,           // one operand permute               args: elems
   kReduce,            // tournament pairwise merge         args: elems
   kLeaseGrant,        // coordinator issued a lease        args: worker, first, count
   kLeaseSteal,        // ...the lease was stolen work      args: worker, first, count

@@ -258,6 +258,63 @@ TEST(KernelPath, TreeSubtaskMatchesReferenceWalkBitwise) {
   }
 }
 
+TEST(KernelPath, FusedWindowPermutesEachBranchOncePerTask) {
+  // One LDM window over the longest stem prefix whose bottom tensor keeps
+  // axes the window never touches: at least two secondary subtasks, and a
+  // single window, so the fused and step-by-step executors fold every element's
+  // chain in the same order and agree bitwise up to the output layout.
+  auto f = make_fixture();
+  const auto full = tn::extract_stem(*f.tree);
+  const auto sliced = f.slices.to_vector();
+  const uint64_t task = 0;
+  bool tested = false;
+  for (int j = full.length() - 1; j >= 1 && !tested; --j) {  // longest prefix first
+    tn::Stem stem{full.tree, {full.nodes.begin(), full.nodes.begin() + j + 1},
+                  {full.branches.begin(), full.branches.begin() + j}};
+    const auto plan = exec::plan_fused(stem, sliced, size_t(1) << 24);
+    if (plan.windows.size() != 1 || plan.windows[0].secondary_count == 0) continue;
+
+    // Expected kernel calls: the branch and bottom pre-contractions, the
+    // stem-side permutes of every subtask, and each branch laid out once.
+    exec::ExecStats pre;
+    const Tensor bottom =
+        exec::execute_subtree(*f.tree, stem.nodes[0], f.leaves(), sliced, task, nullptr, &pre);
+    std::vector<Tensor> branches;
+    for (int b : stem.branches)
+      branches.push_back(
+          exec::execute_subtree(*f.tree, b, f.leaves(), sliced, task, nullptr, &pre));
+    std::set<int> touched;
+    for (const auto& b : branches) touched.insert(b.ixs().begin(), b.ixs().end());
+    std::vector<int> w_ixs;
+    for (int e : bottom.ixs())
+      if (touched.count(e) != 0) w_ixs.push_back(e);
+    const uint64_t n_sub = uint64_t(1) << plan.windows[0].secondary_count;
+    uint64_t stem_side = 0, branch_side = 0;
+    for (const auto& b : branches) {
+      const auto p = exec::plan_contract(w_ixs, b.ixs());
+      stem_side += p.a_identity ? 0 : 1;
+      branch_side += p.b_identity ? 0 : 1;
+      w_ixs = p.out_ixs;
+    }
+    if (branch_side == 0) continue;  // nothing to hoist in this prefix
+    tested = true;
+
+    exec::FusedStats ss;
+    const Tensor want = exec::execute_stem_stepwise(stem, f.leaves(), sliced, task, nullptr, &ss);
+    ThreadPool pool(3);
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      exec::FusedStats fs;
+      const Tensor got = exec::execute_fused(plan, f.leaves(), task, p, &fs);
+      EXPECT_TRUE(bitwise_equal(want, exec::permute(got, want.ixs())));
+      EXPECT_EQ(fs.exec.device.permute_calls,
+                pre.device.permute_calls + n_sub * stem_side + branch_side)
+          << "j=" << j << " subtasks=" << n_sub;
+      EXPECT_EQ(fs.exec.device.stem_steps, n_sub * uint64_t(j));
+    }
+  }
+  EXPECT_TRUE(tested) << "no stem prefix has a secondary-sliced window with a branch permute";
+}
+
 // --- whole sliced runs: every executor and worker count, bitwise ----------
 
 TEST(RunSliced, BitwiseIdenticalAcrossExecutorsAndWorkers) {

@@ -198,6 +198,41 @@ TEST(KernelsParityPermute, ElementGranularGatherPathBitwise) {
   }
 }
 
+TEST(KernelsParityPermute, FactoredMapEveryRankAndBlockSizeBitwise) {
+  // Ranks 0-16 and trailing blocks of 1, 2, 4, 8 and more elements. The
+  // leading axes rotate by one, so exactly `tail` axes stay in place; lead
+  // 2-3 makes lo tables of 2 and 4 entries, shorter than one AVX-512 (and,
+  // at 2, one AVX2) gather.
+  Rng rng(0xfac7);
+  for (int rank = 0; rank <= 16; ++rank) {
+    std::vector<int> ixs(static_cast<size_t>(rank), 0);
+    for (int i = 0; i < rank; ++i) ixs[size_t(i)] = 10 + i;
+    const auto t = random_tensor(ixs, 7000 + uint64_t(rank));
+    for (int tail : {0, 1, 2, 3, 5}) {
+      const int lead = rank - tail;
+      if (lead < 2 && tail != 0) continue;  // ranks 0-1: the identity only
+      std::vector<int> rotated = ixs, shuffled = ixs;
+      if (lead >= 2) {
+        std::rotate(rotated.begin(), rotated.begin() + lead - 1, rotated.begin() + lead);
+        for (int i = lead - 1; i > 0; --i)
+          std::swap(shuffled[size_t(i)], shuffled[size_t(rng.next_int(0, i))]);
+      }
+      for (const auto& new_ixs : {rotated, shuffled}) {
+        const auto want = permute_naive(t, new_ixs);
+        if (lead >= 2 && new_ixs == rotated) {
+          const PermuteMap map(permutation_between(ixs, new_ixs), rank);
+          ASSERT_EQ(map.block_elems(), size_t(1) << tail);
+        }
+        for (IsaTier tier : compiled_isa_tiers()) {
+          const auto got = permute_simd(tier, t, new_ixs);
+          ASSERT_TRUE(bitwise_equal(want, got))
+              << isa_name(tier) << " rank=" << rank << " tail=" << tail;
+        }
+      }
+    }
+  }
+}
+
 // --- the one kernel path: contract() at the probed tier vs reference -----
 
 TEST(KernelsParityContract, StemChainBitwiseVsReference) {

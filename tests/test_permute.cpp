@@ -90,6 +90,30 @@ TEST(PermuteMap, FullPermutationUsesFullMap) {
   EXPECT_EQ(map.map_entries(), 64u);
 }
 
+TEST(PermuteMap, FactoredTablesAreSqrtSized) {
+  // The map is two tables over the split output block index, never the
+  // full 2^lead map: 2^ceil(lead/2) + 2^floor(lead/2) offsets at most.
+  Rng rng(17);
+  for (int r = 1; r <= 18; ++r) {
+    std::vector<int> ixs(size_t(r), 0);
+    std::iota(ixs.begin(), ixs.end(), 0);
+    std::vector<int> reversed(ixs.rbegin(), ixs.rend());
+    std::vector<int> shuffled = ixs;
+    for (size_t i = shuffled.size(); i > 1; --i)
+      std::swap(shuffled[i - 1], shuffled[rng.next_below(i)]);
+    for (const auto& perm : {reversed, shuffled}) {
+      PermuteMap map(perm, r);
+      const int lead = r - map.block_axes();
+      const size_t bound = (size_t(1) << (lead - lead / 2)) + (size_t(1) << (lead / 2));
+      EXPECT_LE(map.table_entries(), bound) << "rank " << r;
+      EXPECT_EQ(map.map_entries(), size_t(1) << lead) << "rank " << r;
+      EXPECT_EQ(map.rows() * map.row_len(), map.map_entries());
+    }
+    auto t = random_tensor(ixs, uint64_t(r) + 300);
+    EXPECT_EQ(max_abs_diff(permute(t, reversed), permute_naive(t, reversed)), 0.0) << "rank " << r;
+  }
+}
+
 TEST(PermuteMap, ApplyMatchesNaiveWithBlocks) {
   Rng rng(31);
   for (int trial = 0; trial < 20; ++trial) {

@@ -196,10 +196,12 @@ void ElasticCoordinator::drop_peer(Peer& p, ShardMerger* merger) {
   p.finished = true;
   unpark(p);
   if (p.id >= 0 && !was_finished) {
-    // A draining peer already finished every lease — losing only its
-    // goodbye frames is not a lost worker, and must not trip the chaos
-    // job's `0 workers lost` assertion on an otherwise clean run.
-    ledger_.revoke_worker(p.id, /*lost=*/!p.draining);
+    // A draining peer that has spoken already finished every lease —
+    // losing only its goodbye frames is not a lost worker, and must not
+    // trip the chaos job's `0 workers lost` assertion on an otherwise
+    // clean run. A peer that never sent a frame died before doing any
+    // work, even if the drain reached its socket buffer first.
+    ledger_.revoke_worker(p.id, /*lost=*/!p.draining || !p.heard);
     serve_parked(merger);  // its requeued ranges may unblock idle peers
   }
 }
@@ -419,6 +421,7 @@ std::string ElasticCoordinator::run(ShardMerger* merger) {
         }
         p.last_seen.reset();
         p.stalled = false;
+        p.heard = true;
         handle_frame(p, f, merger);
       } catch (const CheckpointIoError& e) {
         // The JOURNAL failed (ENOSPC, EIO), not the worker whose frame

@@ -2,7 +2,7 @@
 //
 //   ltns_cli gen   <rows> <cols> <cycles> [seed]          # emit a circuit file
 //   ltns_cli gen-sycamore <cycles> [seed]
-//   ltns_cli plan  <circuit-file> [depth]                 # path + lifetime slicing report
+//   ltns_cli plan  <circuit-file>                         # the plan amp would run
 //   ltns_cli amp   <circuit-file> <bitstring>             # one amplitude (verified vs sv if <=22q)
 //   ltns_cli sample <circuit-file> <n_open> <n_samples>   # correlated samples
 //   ltns_cli query <circuit-file> <query-file>            # batched queries, shared contractions
@@ -541,14 +541,33 @@ std::string load_circuit_text(const char* path) {
   return text.str();
 }
 
-circuit::Circuit load_circuit(const char* path) {
-  if (std::strcmp(path, "-") == 0) return circuit::read_circuit(std::cin);
-  std::ifstream f(path);
-  if (!f) {
-    std::fprintf(stderr, "cannot open '%s'\n", path);
+// Parses circuit text loaded from `path`; malformed text exits 2 with
+// "<path>:<line>: <message>".
+circuit::Circuit parse_circuit(const std::string& text, const char* path) {
+  try {
+    return circuit::circuit_from_string(text);
+  } catch (const circuit::CircuitParseError& e) {
+    std::fprintf(stderr, "%s:%d: %s\n", std::strcmp(path, "-") == 0 ? "<stdin>" : path, e.line,
+                 e.message.c_str());
     std::exit(2);
   }
-  return circuit::read_circuit(f);
+}
+
+circuit::Circuit load_circuit(const char* path) {
+  return parse_circuit(load_circuit_text(path), path);
+}
+
+// A bitstring argument: exactly `num_qubits` characters, each 0 or 1, or
+// exit 2.
+std::vector<int> parse_bitstring(const char* text, int num_qubits) {
+  const std::string s = text;
+  if (int(s.size()) != num_qubits || s.find_first_not_of("01") != std::string::npos) {
+    std::fprintf(stderr, "bitstring '%s' must be %d characters of 0 and 1\n", text, num_qubits);
+    std::exit(2);
+  }
+  std::vector<int> bits(s.size());
+  for (size_t q = 0; q < s.size(); ++q) bits[q] = s[q] == '1';
+  return bits;
 }
 
 int cmd_gen(int argc, char** argv, bool sycamore) {
@@ -571,44 +590,35 @@ int cmd_gen(int argc, char** argv, bool sycamore) {
   return 0;
 }
 
+// Plans the circuit as `amp` would for the all-zero bitstring (the same
+// options, so --target applies) and reports where the planning time went.
 int cmd_plan(int argc, char** argv) {
-  if (argc < 3) return 64;
+  if (argc != 3) return 64;
   auto circ = load_circuit(argv[2]);
-  const double depth = argc > 3 ? std::atof(argv[3]) : 12;
 
   auto ln = circuit::lower(circ);
   circuit::simplify(ln);
   std::printf("circuit: %d qubits, %zu gates -> %d tensors / %d indices\n", circ.num_qubits,
               circ.ops.size(), ln.net.num_alive_vertices(), ln.net.num_alive_edges());
 
-  core::PlanOptions po;
-  po.path.greedy_trials = 32;
-  po.path.partition_trials = 8;
-  {
-    auto probe = path::find_path(ln.net, po.path);
-    po.target_log2size = std::max(4.0, probe.log2size - depth);
-  }
+  const core::PlanOptions po = make_sim_options().plan;
   auto plan = core::make_plan(ln.net, po);
   std::printf("path (%s): cost 2^%.2f flops, max tensor 2^%.1f\n", plan.path_method.c_str(),
               plan.tree->total_log2cost(), plan.tree->max_log2size());
   std::printf("stem: %d tensors (%.1f%% of flops)\n", plan.stem.length(),
               100 * plan.stem.cost_fraction());
-  std::printf("slicing: %d edges -> %.0f subtasks, overhead %.4f, sliced max 2^%.1f\n",
-              plan.num_slices(), plan.num_subtasks(), plan.metrics.overhead(),
+  std::printf("slicing (bound 2^%g): %d edges -> %.0f subtasks, overhead %.4f, sliced max 2^%.1f\n",
+              po.target_log2size, plan.num_slices(), plan.num_subtasks(), plan.metrics.overhead(),
               plan.metrics.max_log2size);
+  std::printf("planning: path search %.3f s, slicing %.3f s (%d swaps proposed, %d accepted)\n",
+              plan.path_seconds, plan.slice_seconds, plan.refine.proposed, plan.refine.accepted);
   return 0;
 }
 
 int cmd_amp(int argc, char** argv) {
   if (argc < 4) return 64;
   auto circ = load_circuit(argv[2]);
-  const char* bitstr = argv[3];
-  if (int(std::strlen(bitstr)) != circ.num_qubits) {
-    std::fprintf(stderr, "bitstring must have %d bits\n", circ.num_qubits);
-    return 2;
-  }
-  std::vector<int> bits(size_t(circ.num_qubits));
-  for (int q = 0; q < circ.num_qubits; ++q) bits[size_t(q)] = bitstr[q] == '1';
+  const auto bits = parse_bitstring(argv[3], circ.num_qubits);
 
   api::Simulator sim(circ, make_sim_options());
   auto res = sim.amplitude(bits);
@@ -759,13 +769,7 @@ int cmd_coordinate(int argc, char** argv) {
   const int nworkers = std::atoi(argv[3]);
   if (port < 0 || port > 65535 || nworkers < 1) return 64;
   auto circ = load_circuit(argv[4]);
-  const char* bitstr = argv[5];
-  if (int(std::strlen(bitstr)) != circ.num_qubits) {
-    std::fprintf(stderr, "bitstring must have %d bits\n", circ.num_qubits);
-    return 2;
-  }
-  std::vector<int> bits(size_t(circ.num_qubits));
-  for (int q = 0; q < circ.num_qubits; ++q) bits[size_t(q)] = bitstr[q] == '1';
+  const auto bits = parse_bitstring(argv[5], circ.num_qubits);
 
   dist::ServiceOptions so;
   so.target_log2size = g_flags.target;
@@ -899,6 +903,9 @@ int cmd_submit(int argc, char** argv) {
   spec.weight = g_flags.weight;
   spec.priority = g_flags.priority;
   spec.circuit_text = load_circuit_text(argv[4]);
+  // The server re-plans from the text verbatim; parsing it here only
+  // rejects a bad circuit or bitstring before it is queued.
+  const int num_qubits = parse_circuit(spec.circuit_text, argv[4]).num_qubits;
   spec.target_log2size = g_flags.target;
   spec.precision = exec::precision_name(g_flags.precision.value_or(exec::Precision::kFp32));
   if (query_job) {
@@ -909,22 +916,10 @@ int cmd_submit(int argc, char** argv) {
     spec.query_text = load_circuit_text(g_flags.queries_file.c_str());
     spec.max_open = g_flags.max_open;
     spec.amp_mode = g_flags.amp_mode;
-    try {
-      std::istringstream in(spec.circuit_text);
-      const auto circ = circuit::read_circuit(in);
-      spec.bits.assign(size_t(circ.num_qubits), '0');
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "cannot parse circuit: %s\n", e.what());
-      return 2;
-    }
+    spec.bits.assign(size_t(num_qubits), '0');
   } else {
+    parse_bitstring(argv[5], num_qubits);
     spec.bits = argv[5];
-    for (char c : spec.bits) {
-      if (c != '0' && c != '1') {
-        std::fprintf(stderr, "bitstring must be 0s and 1s\n");
-        return 2;
-      }
-    }
   }
   try {
     auto rep = dist::submit_job(argv[2], uint16_t(port), spec);
@@ -1057,7 +1052,8 @@ int main(int raw_argc, char** raw_argv) {
                  "circuits:\n"
                  "  gen <rows> <cols> <cycles> [seed]       emit a random circuit\n"
                  "  gen-sycamore <cycles> [seed]            emit a Sycamore-53 circuit\n"
-                 "  plan <circuit|-> [depth]                path + lifetime slicing report\n"
+                 "  plan <circuit|->                        the plan amp would run (honours\n"
+                 "                                          --target) and its planning time\n"
                  "\n"
                  "one-shot runs:\n"
                  "  amp|run <circuit|-> <bitstring>         one amplitude (sv check <= 22q)\n"

@@ -3,14 +3,26 @@
 #include <algorithm>
 #include <cassert>
 #include <map>
+#include <stdexcept>
+#include <string>
 
 #include "util/rng.hpp"
 
 namespace ltns::circuit {
 
 void Circuit::apply(GateDef g, std::vector<int> qubits) {
-  assert(int(qubits.size()) == g.arity);
-  for (int q : qubits) assert(q >= 0 && q < num_qubits);
+  if (int(qubits.size()) != g.arity)
+    throw std::invalid_argument("gate '" + g.name + "' takes " + std::to_string(g.arity) +
+                                " qubit(s), got " + std::to_string(qubits.size()));
+  for (size_t i = 0; i < qubits.size(); ++i) {
+    const int q = qubits[i];
+    if (q < 0 || q >= num_qubits)
+      throw std::invalid_argument("gate '" + g.name + "': qubit " + std::to_string(q) +
+                                  " is out of range [0, " + std::to_string(num_qubits) + ")");
+    if (std::find(qubits.begin(), qubits.begin() + std::ptrdiff_t(i), q) !=
+        qubits.begin() + std::ptrdiff_t(i))
+      throw std::invalid_argument("gate '" + g.name + "' repeats qubit " + std::to_string(q));
+  }
   ops.push_back(Op{std::move(g), std::move(qubits)});
 }
 

@@ -27,6 +27,8 @@ struct Circuit {
   int num_qubits = 0;
   std::vector<Op> ops;
 
+  // Appends `g` on `qubits`. Throws std::invalid_argument unless there are
+  // exactly g.arity distinct qubits, each in [0, num_qubits).
   void apply(GateDef g, std::vector<int> qubits);
   int num_two_qubit_ops() const;
 };

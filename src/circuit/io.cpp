@@ -43,47 +43,64 @@ void write_circuit(std::ostream& os, const Circuit& c) {
   }
 }
 
-Circuit read_circuit(std::istream& is) {
-  std::string header, version;
-  is >> header >> version;
-  if (header != "ltnsqc" || version != "v1")
-    throw std::runtime_error("circuit io: bad header '" + header + " " + version + "'");
-  std::string kw;
-  Circuit c;
-  is >> kw >> c.num_qubits;
-  if (kw != "qubits" || c.num_qubits <= 0)
-    throw std::runtime_error("circuit io: expected 'qubits N'");
+CircuitParseError::CircuitParseError(int line, const std::string& message)
+    : std::runtime_error("circuit io: line " + std::to_string(line) + ": " + message),
+      line(line),
+      message(message) {}
 
-  std::string line;
-  std::getline(is, line);  // finish the qubits line
-  while (std::getline(is, line)) {
-    std::istringstream ls(line);
-    std::string name;
-    if (!(ls >> name) || name.empty() || name[0] == '#') continue;
-    name = lower(name);
+Circuit read_circuit(std::istream& is) {
+  std::string line, word;
+  int line_no = 0;
+  std::istringstream ls;
+  auto fail = [&](const std::string& message) {
+    return CircuitParseError(std::max(line_no, 1), message);
+  };
+  // Moves to the next line holding more than blanks or a '#' comment and
+  // reads its first word into `word`; false at the end of the input.
+  auto next_line = [&] {
+    while (std::getline(is, line)) {
+      ++line_no;
+      ls.clear();
+      ls.str(line);
+      if (ls >> word && word[0] != '#') return true;
+    }
+    return false;
+  };
+
+  std::string version;
+  if (!next_line() || word != "ltnsqc" || !(ls >> version) || version != "v1")
+    throw fail("expected the header 'ltnsqc v1'");
+  Circuit c;
+  if (!next_line() || word != "qubits" || !(ls >> c.num_qubits) || c.num_qubits <= 0)
+    throw fail("expected 'qubits N' with N > 0");
+
+  while (next_line()) {
+    const std::string name = lower(word);
     auto read_q = [&](int n) {
       std::vector<int> qs(size_t(n), 0);
-      for (int& q : qs) {
-        if (!(ls >> q) || q < 0 || q >= c.num_qubits)
-          throw std::runtime_error("circuit io: bad qubit in '" + line + "'");
-      }
+      for (int& q : qs)
+        if (!(ls >> q)) throw fail("gate '" + name + "' takes " + std::to_string(n) + " qubit(s)");
       return qs;
     };
-    if (name == "x") c.apply(gate_x(), read_q(1));
-    else if (name == "y") c.apply(gate_y(), read_q(1));
-    else if (name == "z") c.apply(gate_z(), read_q(1));
-    else if (name == "h") c.apply(gate_h(), read_q(1));
-    else if (name == "sqrt_x") c.apply(gate_sqrt_x(), read_q(1));
-    else if (name == "sqrt_y") c.apply(gate_sqrt_y(), read_q(1));
-    else if (name == "sqrt_w") c.apply(gate_sqrt_w(), read_q(1));
-    else if (name == "cz") c.apply(gate_cz(), read_q(2));
-    else if (name == "fsim") {
-      auto qs = read_q(2);
-      double theta, phi;
-      if (!(ls >> theta >> phi)) throw std::runtime_error("circuit io: fsim needs theta phi");
-      c.apply(gate_fsim(theta, phi), qs);
-    } else {
-      throw std::runtime_error("circuit io: unknown gate '" + name + "'");
+    try {
+      if (name == "x") c.apply(gate_x(), read_q(1));
+      else if (name == "y") c.apply(gate_y(), read_q(1));
+      else if (name == "z") c.apply(gate_z(), read_q(1));
+      else if (name == "h") c.apply(gate_h(), read_q(1));
+      else if (name == "sqrt_x") c.apply(gate_sqrt_x(), read_q(1));
+      else if (name == "sqrt_y") c.apply(gate_sqrt_y(), read_q(1));
+      else if (name == "sqrt_w") c.apply(gate_sqrt_w(), read_q(1));
+      else if (name == "cz") c.apply(gate_cz(), read_q(2));
+      else if (name == "fsim") {
+        auto qs = read_q(2);
+        double theta, phi;
+        if (!(ls >> theta >> phi)) throw fail("fsim needs theta phi");
+        c.apply(gate_fsim(theta, phi), qs);
+      } else {
+        throw fail("unknown gate '" + name + "'");
+      }
+    } catch (const std::invalid_argument& e) {
+      throw fail(e.what());  // Circuit::apply's arity and qubit checks
     }
   }
   return c;

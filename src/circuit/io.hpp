@@ -12,14 +12,25 @@
 #pragma once
 
 #include <iosfwd>
+#include <stdexcept>
 #include <string>
 
 #include "circuit/circuit.hpp"
 
 namespace ltns::circuit {
 
+// Malformed circuit text. what() reads "circuit io: line N: <message>";
+// `line` is 1-based.
+struct CircuitParseError : std::runtime_error {
+  CircuitParseError(int line, const std::string& message);
+  int line;
+  std::string message;
+};
+
 void write_circuit(std::ostream& os, const Circuit& c);
-// Throws std::runtime_error on malformed input.
+// Throws CircuitParseError on malformed input: a bad header or qubit
+// count, an unknown gate, a missing argument, or a gate Circuit::apply
+// refuses (wrong arity, repeated or out-of-range qubit).
 Circuit read_circuit(std::istream& is);
 
 std::string circuit_to_string(const Circuit& c);

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "core/greedy_slicer.hpp"
+#include "util/timer.hpp"
 
 namespace ltns::core {
 
@@ -24,7 +25,9 @@ std::string plan_options_text(const PlanOptions& opt) {
 }
 
 Plan make_plan(const tn::TensorNetwork& net, const PlanOptions& opt) {
+  Timer timer;
   auto pr = path::find_path(net, opt.path);
+  const double path_seconds = timer.seconds();
 
   // Open (output) edges survive to the root, so no slicing set can push the
   // root below their combined width — and the sliced runners merge subtask
@@ -36,15 +39,14 @@ Plan make_plan(const tn::TensorNetwork& net, const PlanOptions& opt) {
   for (tn::EdgeId e : net.open_edges()) open_log2 += net.edge(e).log2w;
   const double target = std::max(opt.target_log2size, open_log2);
 
-  Plan plan{std::move(pr.path),
-            nullptr,
-            tn::Stem{},
-            SliceSet(net),
-            SlicedMetrics{},
-            pr.method};
+  Plan plan;
+  plan.path = std::move(pr.path);
+  plan.path_method = pr.method;
+  plan.path_seconds = path_seconds;
   plan.tree = std::make_shared<tn::ContractionTree>(tn::ContractionTree::build(net, plan.path));
   plan.stem = tn::extract_stem(*plan.tree);
 
+  timer.reset();
   switch (opt.slicer) {
     case SlicerKind::kGreedyBaseline: {
       GreedySlicerOptions g;
@@ -65,11 +67,12 @@ Plan make_plan(const tn::TensorNetwork& net, const PlanOptions& opt) {
       SliceRefinerOptions r = opt.refiner;
       r.target_log2size = target;
       r.seed = opt.seed;
-      plan.slices = refine_slices(plan.stem, std::move(s), r);
+      plan.slices = refine_slices(plan.stem, std::move(s), r, &plan.refine);
       plan.metrics = evaluate_slicing(*plan.tree, plan.slices);
       break;
     }
   }
+  plan.slice_seconds = timer.seconds();
   return plan;
 }
 

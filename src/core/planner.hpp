@@ -39,6 +39,11 @@ struct Plan {
   SliceSet slices;
   SlicedMetrics metrics;
   std::string path_method;
+  // How this make_plan ran: Algorithm 2's counters (kLifetimeRefined only)
+  // and the wall time of the path search and of the slicing stage. All
+  // zero for a plan restored from the cache.
+  RefineStats refine;
+  double path_seconds = 0, slice_seconds = 0;
 
   int num_slices() const { return slices.size(); }
   double num_subtasks() const { return std::exp2(metrics.log2_num_subtasks); }

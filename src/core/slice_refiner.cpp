@@ -12,11 +12,11 @@ namespace {
 // Stem positions in the lifetime of `e` whose sliced tensor is exactly at
 // the target rank — the paper's find_critical_tensors.
 std::vector<int> find_critical_tensors(const tn::Stem& stem, const StemLifetimes& lt,
-                                       const IndexSet& S, double target, EdgeId e) {
+                                       const IncrementalSlicing& st, double target, EdgeId e) {
   std::vector<int> crit;
   const auto& iv = lt.of(e);
   for (int p = iv.begin; p <= iv.end; ++p) {
-    double sz = sliced_node_log2size(*stem.tree, stem.nodes[size_t(p)], S);
+    double sz = st.node_log2size(stem.nodes[size_t(p)]);
     if (std::abs(sz - target) < 1e-9) crit.push_back(p);
   }
   return crit;
@@ -54,53 +54,61 @@ std::vector<EdgeId> find_candidate_indices(const tn::Stem& stem, const StemLifet
 SliceSet refine_slices(const tn::Stem& stem, SliceSet S, const SliceRefinerOptions& opt,
                        RefineStats* stats_out) {
   const tn::ContractionTree& tree = *stem.tree;
+  RefineStats stats;
+  if (S.size() == 0) {
+    // Nothing to swap or drop: return before building any state.
+    stats.initial_log2cost = stats.final_log2cost = evaluate_slicing(tree, S).log2_total_cost;
+    if (stats_out) *stats_out = stats;
+    return S;
+  }
   auto lt = StemLifetimes::build(stem);
   Rng rng(opt.seed);
-  RefineStats stats;
+  IncrementalSlicing st(tree, std::move(S), opt.target_log2size);
 
-  double cur_cost = evaluate_slicing(tree, S).log2_total_cost;
+  double cur_cost = st.log2_total_cost();
   stats.initial_log2cost = cur_cost;
-  SliceSet best = S;
+  SliceSet best = st.slices();
   double best_cost = cur_cost;
 
   for (double T = opt.initial_temperature; T > opt.final_temperature; T *= opt.alpha) {
     for (int k = 0; k < opt.moves_per_temperature; ++k) {
-      auto sliced = S.to_vector();
+      auto sliced = st.slices().to_vector();
       if (sliced.empty()) break;
       EdgeId a = sliced[rng.next_below(sliced.size())];
 
-      auto crit = find_critical_tensors(stem, lt, S.edges(), opt.target_log2size, a);
+      auto crit = find_critical_tensors(stem, lt, st, opt.target_log2size, a);
       if (crit.empty()) {
         // `a` shields no critical tensor; if the whole tree stays within
         // bound without it, it is pure overhead — drop it.
-        S.remove(a);
-        if (satisfies_memory_bound(tree, S, opt.target_log2size)) {
+        st.propose(a);
+        if (st.fits()) {
+          st.commit();
           ++stats.dropped_useless;
-          cur_cost = evaluate_slicing(tree, S).log2_total_cost;
+          cur_cost = st.log2_total_cost();
           if (cur_cost < best_cost) {
-            best = S;
+            best = st.slices();
             best_cost = cur_cost;
           }
         } else {
-          S.add(a);  // needed by a branch tensor after all
+          st.reject();  // needed by a branch tensor after all
         }
         continue;
       }
 
-      for (EdgeId b : find_candidate_indices(stem, lt, S.edges(), crit, a)) {
+      for (EdgeId b : find_candidate_indices(stem, lt, st.slices().edges(), crit, a)) {
         ++stats.proposed;
-        S.remove(a);
-        S.add(b);
-        auto m = evaluate_slicing(tree, S);
-        bool in_bound = m.max_log2size <= opt.target_log2size + 1e-9;
+        st.propose(a, b);
+        const double new_cost = st.log2_total_cost();
+        // Sliced sizes are never negative, so "every node fits" is
+        // evaluate_slicing's max_log2size (which starts at 0) <= target.
         bool take = false;
-        if (in_bound) {
-          if (m.log2_total_cost < cur_cost) {
+        if (st.fits()) {
+          if (new_cost < cur_cost) {
             take = true;
           } else {
             // exp((C_ori − C_new)/C_ori / T) with huge C handled via the
             // linear-domain ratio 2^(Δlog2).
-            double ratio = std::exp2(m.log2_total_cost - cur_cost);
+            double ratio = std::exp2(new_cost - cur_cost);
             double p = std::exp((1.0 - ratio) / T);
             if (rng.next_double() < p) {
               take = true;
@@ -109,16 +117,16 @@ SliceSet refine_slices(const tn::Stem& stem, SliceSet S, const SliceRefinerOptio
           }
         }
         if (take) {
+          st.commit();
           ++stats.accepted;
-          cur_cost = m.log2_total_cost;
+          cur_cost = new_cost;
           if (cur_cost < best_cost) {
-            best = S;
+            best = st.slices();
             best_cost = cur_cost;
           }
           a = b;  // the sliced edge under consideration is now b
         } else {
-          S.remove(b);
-          S.add(a);
+          st.reject();
         }
       }
     }

@@ -148,6 +148,14 @@ __attribute__((target("avx2"))) void gather_avx2(const uint32_t* map, const cflo
   for (; o < n; ++o) out[o] = in[map[o]];
 }
 
+// gcc 12 flags the intrinsic's deliberately undefined pass-through operand
+// (_mm512_undefined_epi32 inside _mm512_i32gather_epi64) as
+// -Wmaybe-uninitialized. The gather's mask is all ones, so that operand is
+// never read: a false positive, silenced for this function only.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
 __attribute__((target("avx512f"))) void gather_avx512(const uint32_t* map, const cfloat* in,
                                                       cfloat* out, size_t n) {
   size_t o = 0;
@@ -158,6 +166,9 @@ __attribute__((target("avx512f"))) void gather_avx512(const uint32_t* map, const
   }
   for (; o < n; ++o) out[o] = in[map[o]];
 }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 #endif  // LTNS_SIMD_X86
 

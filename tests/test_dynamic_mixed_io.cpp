@@ -187,6 +187,26 @@ TEST(CircuitIo, RejectsGarbage) {
                std::runtime_error);
 }
 
+TEST(CircuitIo, ErrorsNameTheLine) {
+  auto line_of = [](const std::string& text) {
+    try {
+      circuit::circuit_from_string(text);
+    } catch (const circuit::CircuitParseError& e) {
+      EXPECT_EQ(std::string(e.what()).find("circuit io: line " + std::to_string(e.line) + ": "),
+                0u);
+      return e.line;
+    }
+    return 0;
+  };
+  EXPECT_EQ(line_of(""), 1);
+  EXPECT_EQ(line_of("ltnsqc v2\nqubits 2\n"), 1);
+  EXPECT_EQ(line_of("ltnsqc v1\nqubits -1\n"), 2);
+  EXPECT_EQ(line_of("ltnsqc v1\nqubits 2\n\n# note\nwarp 0\n"), 5);
+  EXPECT_EQ(line_of("ltnsqc v1\nqubits 2\nh 0\ncz 1 1\n"), 4);  // repeated qubit
+  EXPECT_EQ(line_of("ltnsqc v1\nqubits 2\nh 2\n"), 3);          // out of range
+  EXPECT_EQ(line_of("ltnsqc v1\nqubits 2\ncz 0\n"), 3);         // too few qubits
+}
+
 TEST(CircuitIo, CommentsAndBlankLinesIgnored) {
   auto c = circuit::circuit_from_string(
       "ltnsqc v1\nqubits 2\n# a comment\n\nh 0\ncz 0 1\n");

@@ -118,8 +118,11 @@ TEST(FusedPlan, RespectsLdmCapacityAtPlanTime) {
   auto f = make_fixture(4, 4, 8);
   const size_t cap = 1 << 10;
   auto plan = plan_fused(f.stem, {}, cap);
-  for (const auto& w : plan.windows)
-    if (w.in_ldm) EXPECT_LE(w.ldm_peak_elems, cap);
+  for (const auto& w : plan.windows) {
+    if (w.in_ldm) {
+      EXPECT_LE(w.ldm_peak_elems, cap);
+    }
+  }
 }
 
 TEST(FusedPlan, BiggerLdmFusesLongerWindows) {
@@ -200,7 +203,9 @@ TEST(FusedExecutor, CooperativeDmaRestoresGranularity) {
   execute_fused(coop, f.leaves(), 0, nullptr, &a);
   execute_fused(raw, f.leaves(), 0, nullptr, &b);
   EXPECT_GE(a.dma.min_granularity, std::min(512.0, b.dma.min_granularity));
-  if (b.dma.min_granularity < 512.0) EXPECT_GT(a.dma.rma_bytes, 0.0);
+  if (b.dma.min_granularity < 512.0) {
+    EXPECT_GT(a.dma.rma_bytes, 0.0);
+  }
 }
 
 TEST(SliceRunner, FusedModeMatchesStepMode) {

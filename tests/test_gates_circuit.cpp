@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 
 #include "circuit/circuit.hpp"
 #include "circuit/gates.hpp"
@@ -182,6 +183,19 @@ TEST(Rqc, SycamoreM20HasExpectedScale) {
   // Roughly a quarter of couplers fire each cycle.
   EXPECT_GT(c.num_two_qubit_ops(), 300);
   EXPECT_LT(c.num_two_qubit_ops(), 600);
+}
+
+TEST(Circuit, ApplyRejectsBadQubitsInRelease) {
+  Circuit c;
+  c.num_qubits = 3;
+  EXPECT_THROW(c.apply(gate_cz(), {1}), std::invalid_argument);        // arity
+  EXPECT_THROW(c.apply(gate_h(), {0, 1}), std::invalid_argument);      // arity
+  EXPECT_THROW(c.apply(gate_cz(), {1, 1}), std::invalid_argument);     // repeated
+  EXPECT_THROW(c.apply(gate_cz(), {0, 3}), std::invalid_argument);     // out of range
+  EXPECT_THROW(c.apply(gate_x(), {-1}), std::invalid_argument);        // out of range
+  EXPECT_TRUE(c.ops.empty());
+  c.apply(gate_cz(), {2, 0});
+  EXPECT_EQ(c.ops.size(), 1u);
 }
 
 }  // namespace

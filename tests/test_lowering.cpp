@@ -138,7 +138,9 @@ TEST(Simplify, TinyCircuitCollapsesToScalar) {
     const auto& t = ln.tensors[size_t(v)];
     if (t.rank() == 0) got *= std::complex<double>(t.data()[0]);
   }
-  if (ln.net.num_alive_vertices() == 0) EXPECT_NEAR(std::abs(got - want), 0.0, 1e-6);
+  if (ln.net.num_alive_vertices() == 0) {
+    EXPECT_NEAR(std::abs(got - want), 0.0, 1e-6);
+  }
 }
 
 TEST(Lowering, GateTensorConventionMatchesMatrix) {

@@ -130,7 +130,9 @@ TEST(PermuteMap, ApplyMatchesNaiveWithBlocks) {
     auto fast = permute(t, order, &st);
     auto slow = permute_naive(t, order);
     EXPECT_EQ(max_abs_diff(fast, slow), 0.0);
-    if (order != ixs) EXPECT_GE(st.block_elems, size_t(1) << keep_tail);
+    if (order != ixs) {
+      EXPECT_GE(st.block_elems, size_t(1) << keep_tail);
+    }
   }
 }
 

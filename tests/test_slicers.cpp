@@ -145,6 +145,18 @@ TEST(SliceRefiner, DropsUselessSlices) {
   EXPECT_TRUE(satisfies_memory_bound(*s.tree, S2, t));
 }
 
+TEST(SliceRefiner, EmptySetIsReturnedUntouched) {
+  auto s = make_setup(3, 3, 4);
+  SliceRefinerOptions ro;
+  ro.target_log2size = s.tree->max_log2size();
+  RefineStats st;
+  auto S = refine_slices(s.stem, SliceSet(s.ln.net), ro, &st);
+  EXPECT_EQ(S.size(), 0);
+  EXPECT_EQ(st.proposed, 0);
+  EXPECT_EQ(st.initial_log2cost, evaluate_slicing(*s.tree, S).log2_total_cost);
+  EXPECT_EQ(st.final_log2cost, st.initial_log2cost);
+}
+
 TEST(Theorem1Flavor, SmallerSetsCorrelateWithLowerOverhead) {
   // Theorem 1's practical content: when the lifetime finder produces a
   // strictly smaller set than greedy, its (refined) overhead should not be

@@ -155,5 +155,103 @@ TEST(SlicedNodeSize, OnlyCountsPresentEdges) {
   EXPECT_DOUBLE_EQ(sliced_node_log2size(tree, leaf, S.edges()), tree.node(leaf).log2size);
 }
 
+// The incremental state must agree with the oracle bit for bit (EXPECT_EQ on
+// doubles, no tolerance) after every proposal, commit and reject: the SA
+// refiner's decisions, and so every plan, rest on that.
+void expect_matches_oracle(const ContractionTree& tree, const IncrementalSlicing& st,
+                           double target) {
+  const SliceSet& S = st.slices();
+  EXPECT_EQ(st.log2_total_cost(), evaluate_slicing(tree, S).log2_total_cost);
+  EXPECT_EQ(st.fits(), satisfies_memory_bound(tree, S, target));
+  for (int i = 0; i < tree.num_nodes(); ++i)
+    ASSERT_EQ(st.node_log2size(i), sliced_node_log2size(tree, i, S.edges())) << "node " << i;
+}
+
+TEST(IncrementalSlicing, MatchesOracleOverRandomSwapSequences) {
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    auto ln = test::small_network(4, 5, 10, seed);
+    auto tree = test::greedy_tree(ln.net, seed);
+    const auto edges = ln.net.alive_edges();
+    Rng rng(seed);
+    // Slice the widest tensor's first edges and bound at the result, so
+    // unslicing one of them breaks the bound and other swaps keep it.
+    int widest = 0;
+    for (int i = 0; i < tree.num_nodes(); ++i)
+      if (tree.node(i).log2size > tree.node(widest).log2size) widest = i;
+    SliceSet S(ln.net);
+    for (int e : tree.node(widest).ixs.to_vector())
+      if (S.size() < 6) S.add(e);
+    const double target = evaluate_slicing(tree, S).max_log2size;
+    IncrementalSlicing st(tree, S, target);
+    expect_matches_oracle(tree, st, target);
+
+    int commits = 0, rejects = 0, drops = 0, over_bound = 0;
+    for (int step = 0; step < 400; ++step) {
+      auto sliced = st.slices().to_vector();
+      EdgeId a = sliced[rng.next_below(sliced.size())];
+      EdgeId b = tn::kNone;
+      if (sliced.size() <= 3 || rng.next_below(8) != 0) {
+        do {
+          b = edges[rng.next_below(edges.size())];
+        } while (st.slices().contains(b));
+      }
+      const IndexSet before = st.slices().edges();
+      st.propose(a, b);
+      expect_matches_oracle(tree, st, target);
+      over_bound += !st.fits();
+      if (rng.next_below(2) == 0) {
+        st.commit();
+        ++commits;
+        drops += b == tn::kNone;
+      } else {
+        st.reject();
+        ++rejects;
+        EXPECT_EQ(st.slices().edges(), before);
+      }
+      expect_matches_oracle(tree, st, target);
+      if (HasFatalFailure()) return;
+    }
+    EXPECT_GT(commits, 0);
+    EXPECT_GT(rejects, 0);
+    EXPECT_GT(drops, 0);
+    EXPECT_GT(over_bound, 0);
+    EXPECT_LT(over_bound, 400);
+  }
+}
+
+// A caterpillar tree: one leaf joins per step, as along a stem.
+tn::ContractionTree caterpillar_tree(const tn::TensorNetwork& net) {
+  tn::SsaPath p;
+  p.leaf_vertices = net.alive_vertices();
+  const int leaves = int(p.leaf_vertices.size());
+  for (int i = 1; i < leaves; ++i) p.steps.push_back({i == 1 ? 0 : leaves + i - 2, i});
+  return tn::ContractionTree::build(net, p);
+}
+
+TEST(IncrementalSlicing, EverySingleSwapMatchesOracleAndUndoes) {
+  // On a caterpillar the last leaves' edges first appear in the last
+  // contractions, so some swaps refold only the last few terms of the
+  // chain. Every swap is tried and undone.
+  for (uint64_t seed : {4u, 8u, 15u, 16u, 23u, 42u}) {
+    auto net = tn::random_network(14, 2.6, seed);
+    auto tree = caterpillar_tree(net);
+    auto edges = net.alive_edges();
+    SliceSet S(net);
+    S.add(edges[0]);
+    S.add(edges[edges.size() / 2]);
+    const double target = evaluate_slicing(tree, S).max_log2size;
+    IncrementalSlicing st(tree, S, target);
+    for (EdgeId a : S.to_vector())
+      for (EdgeId b : edges) {
+        if (S.contains(b)) continue;
+        st.propose(a, b);
+        expect_matches_oracle(tree, st, target);
+        st.reject();
+        expect_matches_oracle(tree, st, target);
+        if (HasFatalFailure()) return;
+      }
+  }
+}
+
 }  // namespace
 }  // namespace ltns::core

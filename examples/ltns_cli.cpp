@@ -66,15 +66,19 @@
 //
 // Circuits use the ltnsqc v1 text format (see src/circuit/io.hpp); "-" reads
 // stdin. This is the fourth runnable example and the scripting entry point.
+#include <charconv>
+#include <cmath>
 #include <complex>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "api/simulator.hpp"
@@ -140,6 +144,31 @@ struct RuntimeFlags {
 
 RuntimeFlags g_flags;
 
+// Reads a whole numeric argument or flag value: std::from_chars over the
+// entire text, then the range [lo, hi]. Junk, a trailing suffix, an empty
+// string, overflow, a non-finite double or a value out of range exits 2
+// with one stderr line naming the argument.
+template <typename T>
+T parse_number(const char* text, const char* what, T lo = std::numeric_limits<T>::lowest(),
+               T hi = std::numeric_limits<T>::max()) {
+  T v{};
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, v);
+  bool ok = ec == std::errc() && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(v);
+  if (!ok) {
+    std::fprintf(stderr, "%s: '%s' is not a number\n", what, text);
+    std::exit(2);
+  }
+  if (v < lo || v > hi) {
+    std::ostringstream range;
+    range << lo << ".." << hi;
+    std::fprintf(stderr, "%s: %s is out of range (%s)\n", what, text, range.str().c_str());
+    std::exit(2);
+  }
+  return v;
+}
+
 const char* executor_name(exec::SliceExecutor e) {
   switch (e) {
     case exec::SliceExecutor::kWorkStealing: return "work-stealing";
@@ -187,15 +216,15 @@ std::vector<char*> parse_runtime_flags(int argc, char** argv) {
         std::exit(64);
       }
     } else if (std::strncmp(argv[i], "--grain=", 8) == 0) {
-      g_flags.grain = uint64_t(std::atoll(argv[i] + 8));
+      g_flags.grain = parse_number<uint64_t>(argv[i] + 8, "--grain");
     } else if (std::strncmp(argv[i], "--processes=", 12) == 0) {
-      g_flags.processes = std::atoi(argv[i] + 12);
+      g_flags.processes = parse_number<int>(argv[i] + 12, "--processes");
       if (g_flags.processes < 1) {
         std::fprintf(stderr, "--processes must be >= 1\n");
         std::exit(64);
       }
     } else if (std::strncmp(argv[i], "--workers=", 10) == 0) {
-      g_flags.workers = std::atoi(argv[i] + 10);
+      g_flags.workers = parse_number<int>(argv[i] + 10, "--workers", 0);
     } else if (std::strncmp(argv[i], "--backend", 9) == 0 &&
                (argv[i][9] == '\0' || argv[i][9] == '=')) {
       std::fprintf(stderr, "--backend was removed: use --precision=fp32|bf16 for the GEMM "
@@ -212,11 +241,11 @@ std::vector<char*> parse_runtime_flags(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--elastic") == 0) {
       g_flags.elastic = true;
     } else if (std::strncmp(argv[i], "--lease=", 8) == 0) {
-      g_flags.lease = uint64_t(std::atoll(argv[i] + 8));
+      g_flags.lease = parse_number<uint64_t>(argv[i] + 8, "--lease");
     } else if (std::strncmp(argv[i], "--heartbeat=", 12) == 0) {
-      g_flags.heartbeat = std::atof(argv[i] + 12);
+      g_flags.heartbeat = parse_number<double>(argv[i] + 12, "--heartbeat");
     } else if (std::strncmp(argv[i], "--stall-timeout=", 16) == 0) {
-      g_flags.stall_timeout = std::atof(argv[i] + 16);
+      g_flags.stall_timeout = parse_number<double>(argv[i] + 16, "--stall-timeout");
     } else if (std::strncmp(argv[i], "--spill-dir=", 12) == 0) {
       g_flags.spill_dir = argv[i] + 12;
       if (g_flags.spill_dir.empty()) {
@@ -226,7 +255,7 @@ std::vector<char*> parse_runtime_flags(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--resume") == 0) {
       g_flags.resume = true;
     } else if (std::strncmp(argv[i], "--spill-fsync=", 14) == 0) {
-      g_flags.spill_fsync = std::atof(argv[i] + 14);
+      g_flags.spill_fsync = parse_number<double>(argv[i] + 14, "--spill-fsync");
     } else if (std::strncmp(argv[i], "--cache-dir=", 12) == 0) {
       g_flags.cache_dir = argv[i] + 12;
       if (g_flags.cache_dir.empty()) {
@@ -234,13 +263,13 @@ std::vector<char*> parse_runtime_flags(int argc, char** argv) {
         std::exit(64);
       }
     } else if (std::strncmp(argv[i], "--plan-cache=", 13) == 0) {
-      g_flags.plan_cache = std::atoll(argv[i] + 13);
+      g_flags.plan_cache = parse_number<long long>(argv[i] + 13, "--plan-cache");
       if (g_flags.plan_cache < 0) {
         std::fprintf(stderr, "--plan-cache must be >= 0 (0 disables the plan cache)\n");
         std::exit(64);
       }
     } else if (std::strncmp(argv[i], "--result-cache=", 15) == 0) {
-      g_flags.result_cache = std::atoll(argv[i] + 15);
+      g_flags.result_cache = parse_number<long long>(argv[i] + 15, "--result-cache");
       if (g_flags.result_cache < 0) {
         std::fprintf(stderr, "--result-cache must be >= 0 (0 disables the result cache)\n");
         std::exit(64);
@@ -260,9 +289,9 @@ std::vector<char*> parse_runtime_flags(int argc, char** argv) {
         std::exit(64);
       }
     } else if (std::strncmp(argv[i], "--metrics-interval=", 19) == 0) {
-      g_flags.metrics_interval = std::atof(argv[i] + 19);
+      g_flags.metrics_interval = parse_number<double>(argv[i] + 19, "--metrics-interval");
     } else if (std::strncmp(argv[i], "--target=", 9) == 0) {
-      g_flags.target = std::atof(argv[i] + 9);
+      g_flags.target = parse_number<double>(argv[i] + 9, "--target");
       if (g_flags.target < 1) {
         std::fprintf(stderr, "--target must be >= 1 (log2 of the sliced tensor bound)\n");
         std::exit(64);
@@ -274,9 +303,9 @@ std::vector<char*> parse_runtime_flags(int argc, char** argv) {
         std::exit(64);
       }
     } else if (std::strncmp(argv[i], "--max-queue=", 12) == 0) {
-      g_flags.max_queue = uint64_t(std::atoll(argv[i] + 12));
+      g_flags.max_queue = parse_number<uint64_t>(argv[i] + 12, "--max-queue");
     } else if (std::strncmp(argv[i], "--max-running=", 14) == 0) {
-      g_flags.max_running = std::atoi(argv[i] + 14);
+      g_flags.max_running = parse_number<int>(argv[i] + 14, "--max-running");
       if (g_flags.max_running < 1) {
         std::fprintf(stderr, "--max-running must be >= 1\n");
         std::exit(64);
@@ -288,18 +317,18 @@ std::vector<char*> parse_runtime_flags(int argc, char** argv) {
         std::exit(64);
       }
     } else if (std::strncmp(argv[i], "--weight=", 9) == 0) {
-      const int w = std::atoi(argv[i] + 9);
+      const int w = parse_number<int>(argv[i] + 9, "--weight");
       if (w < 0) {
         std::fprintf(stderr, "--weight must be >= 0 (0 = background-only tenant)\n");
         std::exit(64);
       }
       g_flags.weight = uint32_t(w);
     } else if (std::strncmp(argv[i], "--priority=", 11) == 0) {
-      g_flags.priority = std::atoi(argv[i] + 11);
+      g_flags.priority = parse_number<int>(argv[i] + 11, "--priority");
     } else if (std::strncmp(argv[i], "--job-name=", 11) == 0) {
       g_flags.job_name = argv[i] + 11;
     } else if (std::strncmp(argv[i], "--max-open=", 11) == 0) {
-      g_flags.max_open = std::atoi(argv[i] + 11);
+      g_flags.max_open = parse_number<int>(argv[i] + 11, "--max-open");
       if (g_flags.max_open < 0 || g_flags.max_open > query::kMaxOpenQubits) {
         std::fprintf(stderr, "--max-open must be in [0, %d]\n", query::kMaxOpenQubits);
         std::exit(64);
@@ -577,15 +606,16 @@ int cmd_gen(int argc, char** argv, bool sycamore) {
   if (sycamore) {
     if (argc < 3) return 64;
     dev = circuit::Device::sycamore53();
-    rqc.cycles = std::atoi(argv[2]);
+    rqc.cycles = parse_number<int>(argv[2], "cycles", 0);
     base = 3;
   } else {
     if (argc < 5) return 64;
-    dev = circuit::Device::grid(std::atoi(argv[2]), std::atoi(argv[3]));
-    rqc.cycles = std::atoi(argv[4]);
+    dev = circuit::Device::grid(parse_number<int>(argv[2], "rows", 1, 1024),
+                               parse_number<int>(argv[3], "cols", 1, 1024));
+    rqc.cycles = parse_number<int>(argv[4], "cycles", 0);
     base = 5;
   }
-  if (argc > base) rqc.seed = uint64_t(std::atoll(argv[base]));
+  if (argc > base) rqc.seed = parse_number<uint64_t>(argv[base], "seed");
   circuit::write_circuit(std::cout, circuit::random_quantum_circuit(dev, rqc));
   return 0;
 }
@@ -648,10 +678,11 @@ int cmd_amp(int argc, char** argv) {
 int cmd_sample(int argc, char** argv) {
   if (argc < 5) return 64;
   auto circ = load_circuit(argv[2]);
-  const int n_open = std::atoi(argv[3]);
-  const int n_samples = std::atoi(argv[4]);
-  if (n_open < 1 || n_open > 20 || n_open > circ.num_qubits) {
-    std::fprintf(stderr, "n_open out of range\n");
+  const int n_open = parse_number<int>(argv[3], "n_open", 1, 20);
+  const int n_samples = parse_number<int>(argv[4], "n_samples", 0);
+  if (n_open > circ.num_qubits) {
+    std::fprintf(stderr, "n_open: %d exceeds the circuit's %d qubits\n", n_open,
+                 circ.num_qubits);
     return 2;
   }
   std::vector<int> bits(size_t(circ.num_qubits), 0);
@@ -754,7 +785,7 @@ int cmd_coordinate(int argc, char** argv) {
   // coordinator for its lease/heartbeat state (debugging hung fleets).
   if (argc >= 3 && std::strcmp(argv[2], "--status") == 0) {
     if (argc < 5) return 64;
-    const int port = std::atoi(argv[4]);
+    const int port = parse_number<int>(argv[4], "port");
     if (port <= 0 || port > 65535) return 64;
     try {
       std::printf("%s\n", dist::query_status(argv[3], uint16_t(port)).c_str());
@@ -765,8 +796,8 @@ int cmd_coordinate(int argc, char** argv) {
     }
   }
   if (argc < 6) return 64;
-  const int port = std::atoi(argv[2]);
-  const int nworkers = std::atoi(argv[3]);
+  const int port = parse_number<int>(argv[2], "port");
+  const int nworkers = parse_number<int>(argv[3], "nworkers");
   if (port < 0 || port > 65535 || nworkers < 1) return 64;
   auto circ = load_circuit(argv[4]);
   const auto bits = parse_bitstring(argv[5], circ.num_qubits);
@@ -819,7 +850,7 @@ int cmd_coordinate(int argc, char** argv) {
 
 int cmd_worker(int argc, char** argv) {
   if (argc < 4) return 64;
-  const int port = std::atoi(argv[3]);
+  const int port = parse_number<int>(argv[3], "port");
   if (port <= 0 || port > 65535) return 64;
   const int rc = dist::serve_worker(argv[2], uint16_t(port));
   // A worker given --trace-out also keeps a local copy of its own lane —
@@ -836,7 +867,7 @@ int cmd_worker(int argc, char** argv) {
 
 int cmd_serve(int argc, char** argv) {
   if (argc < 3) return 64;
-  const int port = std::atoi(argv[2]);
+  const int port = parse_number<int>(argv[2], "port");
   if (port < 0 || port > 65535) return 64;
   if (g_flags.precision) {
     std::fprintf(stderr, "serve: --precision is per job; pass it to submit\n");
@@ -895,7 +926,7 @@ int cmd_submit(int argc, char** argv) {
     std::fprintf(stderr, "submit --queries=FILE takes no bitstring argument\n");
     return 64;
   }
-  const int port = std::atoi(argv[3]);
+  const int port = parse_number<int>(argv[3], "port");
   if (port <= 0 || port > 65535) return 64;
   dist::JobSpec spec;
   spec.name = g_flags.job_name;
@@ -939,9 +970,9 @@ int cmd_submit(int argc, char** argv) {
 
 int cmd_status(int argc, char** argv) {
   if (argc < 4) return 64;
-  const int port = std::atoi(argv[3]);
+  const int port = parse_number<int>(argv[3], "port");
   if (port <= 0 || port > 65535) return 64;
-  const uint64_t job_id = argc > 4 ? uint64_t(std::atoll(argv[4])) : 0;
+  const uint64_t job_id = argc > 4 ? parse_number<uint64_t>(argv[4], "job-id") : 0;
   try {
     std::printf("%s\n", dist::job_status_json(argv[2], uint16_t(port), job_id).c_str());
     return 0;
@@ -953,10 +984,11 @@ int cmd_status(int argc, char** argv) {
 
 int cmd_cancel(int argc, char** argv) {
   if (argc < 5) return 64;
-  const int port = std::atoi(argv[3]);
+  const int port = parse_number<int>(argv[3], "port");
   if (port <= 0 || port > 65535) return 64;
   try {
-    auto rep = dist::cancel_job(argv[2], uint16_t(port), uint64_t(std::atoll(argv[4])));
+    const uint64_t job_id = parse_number<uint64_t>(argv[4], "job-id");
+    auto rep = dist::cancel_job(argv[2], uint16_t(port), job_id);
     std::fprintf(rep.ok ? stdout : stderr, "%s\n", rep.message.c_str());
     return rep.ok ? 0 : 1;
   } catch (const std::exception& e) {
@@ -967,11 +999,12 @@ int cmd_cancel(int argc, char** argv) {
 
 int cmd_result(int argc, char** argv) {
   if (argc < 5) return 64;
-  const int port = std::atoi(argv[3]);
+  const int port = parse_number<int>(argv[3], "port");
   if (port <= 0 || port > 65535) return 64;
   try {
     auto rec =
-        dist::fetch_result(argv[2], uint16_t(port), uint64_t(std::atoll(argv[4])), g_flags.wait);
+        dist::fetch_result(argv[2], uint16_t(port), parse_number<uint64_t>(argv[4], "job-id"),
+                           g_flags.wait);
     if (rec.state != dist::JobState::kDone) {
       std::fprintf(stderr, "job %llu %s: %s\n", (unsigned long long)rec.job_id,
                    dist::job_state_name(rec.state), rec.error.c_str());
@@ -1008,7 +1041,7 @@ int cmd_result(int argc, char** argv) {
 
 int cmd_shutdown(int argc, char** argv) {
   if (argc < 4) return 64;
-  const int port = std::atoi(argv[3]);
+  const int port = parse_number<int>(argv[3], "port");
   if (port <= 0 || port > 65535) return 64;
   try {
     auto rep = dist::shutdown_server(argv[2], uint16_t(port));

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Bad circuit files and bitstrings fail clean: ltns_cli exits 2 with one
-# line on stderr (a circuit error reads "<path>:<line>: <message>"), never
-# an abort, and a good input still answers with exit 0.
+# Bad circuit files, bitstrings and numbers fail clean: ltns_cli exits 2
+# with one line on stderr (a circuit error reads "<path>:<line>: <message>",
+# a number error names the argument), never an abort or a silent 0, and a
+# good input still answers with exit 0.
 #
 # Usage: scripts/cli_input_e2e.sh [path-to-ltns_cli]
 set -uo pipefail
@@ -47,6 +48,14 @@ for bits in 0x2 01 0000 '' 01a; do
   expect 2 "bitstring" submit 127.0.0.1 1 "$DIR/q3.qc" "$bits"
 done
 expect 2 "repeat.qc:3: " submit 127.0.0.1 1 "$DIR/repeat.qc" 000
+
+# Numbers: a verb argument or flag value that is not wholly a number in
+# range names itself instead of reading as 0.
+expect 2 "rows: 'abc' is not a number" gen abc 3 2
+expect 2 "rows: 0 is out of range" gen 0 3 2
+expect 2 "n_samples: 'abc' is not a number" sample "$DIR/q3.qc" 2 abc
+expect 2 "--workers: 'x' is not a number" --workers=x amp "$DIR/q3.qc" 010
+expect 2 "--target: 'abc' is not a number" --target=abc amp "$DIR/q3.qc" 010
 
 # Good input still runs.
 expect 0 "" amp "$DIR/q3.qc" 010

@@ -49,6 +49,12 @@ const std::string& PreparedPlan::plan_cache_key() const {
   return state_ != nullptr ? state_->plan_cache_key : empty;
 }
 
+PlanTemplate PreparedPlan::plan_template() const {
+  if (state_ == nullptr) return {};
+  return {state_->open_qubits, cache::encode_plan(state_->plan), state_->plan_from_cache,
+          state_->plan_cache_key};
+}
+
 Simulator::Simulator(circuit::Circuit c, SimulatorOptions opt)
     : circuit_(std::move(c)), opt_(std::move(opt)) {
   if (opt_.cache.plan_enabled()) plan_cache_ = std::make_shared<cache::PlanCache>(opt_.cache);
@@ -199,9 +205,8 @@ std::string Simulator::result_key_for(const std::vector<int>& bits,
                            opt_.precision);
 }
 
-PreparedPlan Simulator::prepare(const std::vector<int>& bits,
-                                const std::vector<int>& open_qubits) const {
-  Timer t;
+std::shared_ptr<PreparedPlan::State> Simulator::lowered_state(
+    const std::vector<int>& bits, const std::vector<int>& open_qubits) const {
   auto st = std::make_shared<PreparedPlan::State>();
   st->bits = bits;
   st->open_qubits = open_qubits;
@@ -214,6 +219,13 @@ PreparedPlan Simulator::prepare(const std::vector<int>& bits,
   // fresh) is built over it — the tree keeps a raw pointer into it.
   st->lowered = circuit::lower(circuit_, lo);
   circuit::simplify(st->lowered);
+  return st;
+}
+
+PreparedPlan Simulator::prepare(const std::vector<int>& bits,
+                                const std::vector<int>& open_qubits) const {
+  Timer t;
+  auto st = lowered_state(bits, open_qubits);
   if (plan_cache_ != nullptr &&
       plan_cache_->lookup(st->plan_cache_key, st->lowered.net, &st->plan)) {
     st->plan_from_cache = true;
@@ -227,32 +239,28 @@ PreparedPlan Simulator::prepare(const std::vector<int>& bits,
   return p;
 }
 
-PreparedPlan Simulator::prepare_like(const PreparedPlan& rep, const std::vector<int>& bits,
+PreparedPlan Simulator::prepare_like(const PlanTemplate& tpl, const std::vector<int>& bits,
                                      const std::vector<int>& open_qubits) const {
-  if (!rep.valid() || rep.state_->open_qubits != open_qubits) return {};
+  if (!tpl.valid() || tpl.open_qubits != open_qubits) return {};
   Timer t;
-  auto st = std::make_shared<PreparedPlan::State>();
-  st->bits = bits;
-  st->open_qubits = open_qubits;
-  st->plan_cache_key = plan_key_for(bits, open_qubits);
-  st->result_cache_key = result_key_for(bits, open_qubits);
-  circuit::LoweringOptions lo;
-  lo.output_bits = bits;
-  lo.open_qubits = open_qubits;
-  st->lowered = circuit::lower(circuit_, lo);
-  circuit::simplify(st->lowered);
-  // Re-target the representative's resolved plan at this network. Lowering
-  // is value-blind, so the rebuild is expected to fit; if it ever does not
-  // (e.g. simplify folded differently), return invalid and let the caller
-  // fall back to a full prepare().
-  if (!cache::decode_plan(cache::encode_plan(rep.state_->plan), st->lowered.net, &st->plan))
-    return {};
+  auto st = lowered_state(bits, open_qubits);
+  // Re-target the template's plan at this network. Lowering is value-blind,
+  // so the rebuild is expected to fit; if it ever does not (e.g. simplify
+  // folded differently), return invalid and let the caller fall back to a
+  // full prepare().
+  if (!cache::decode_plan(tpl.plan, st->lowered.net, &st->plan)) return {};
   st->plan_from_cache = true;  // the planner never ran
-  if (plan_cache_ != nullptr) plan_cache_->insert(st->plan_cache_key, st->plan);
+  if (plan_cache_ != nullptr && st->plan_cache_key != tpl.plan_cache_key)
+    plan_cache_->insert(st->plan_cache_key, st->plan);
   st->plan_seconds = t.seconds();
   PreparedPlan p;
   p.state_ = std::move(st);
   return p;
+}
+
+PreparedPlan Simulator::prepare_like(const PreparedPlan& rep, const std::vector<int>& bits,
+                                     const std::vector<int>& open_qubits) const {
+  return prepare_like(rep.plan_template(), bits, open_qubits);
 }
 
 bool Simulator::amplitude_from_cache(const std::string& key, double plan_seconds,

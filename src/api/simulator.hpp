@@ -127,6 +127,21 @@ struct BatchResult {
   RunTelemetry telemetry;  // shared tail; `telemetry.error` on failure
 };
 
+// A compact, value-blind plan for one open-qubit set: the cache::encode_plan
+// bytes of a resolved plan, without the lowered network or the tree built
+// over it (under 1 KB for a 20-qubit circuit's plan). Lowering is
+// value-blind across output bit values, so Simulator::prepare_like rebuilds
+// it over any bitstring with the same open set. The query engine keeps one
+// per open-set signature.
+struct PlanTemplate {
+  std::vector<int> open_qubits;
+  std::vector<uint8_t> plan;   // cache::encode_plan bytes; empty = invalid
+  bool from_cache = false;     // the plan cache answered; the planner never ran
+  std::string plan_cache_key;  // the key the plan is filed under in the plan cache
+
+  bool valid() const { return !plan.empty(); }
+};
+
 // A resolved, reusable plan: the output of Simulator::prepare(), accepted
 // by amplitude()/batch_amplitudes() so many queries share one planning
 // pass. The underlying state (lowered network + plan) is heap-allocated
@@ -148,6 +163,8 @@ class PreparedPlan {
   bool plan_from_cache() const;
   // The content-addressed key (input fingerprint) this plan is filed under.
   const std::string& plan_cache_key() const;
+  // The compact form of this plan (invalid when the handle is).
+  PlanTemplate plan_template() const;
 
  private:
   friend class Simulator;
@@ -165,18 +182,24 @@ class Simulator {
   // Resolves the plan for one output configuration: lower -> simplify ->
   // plan cache lookup, falling back to make_plan (and populating the
   // cache). The returned handle can be passed to amplitude() /
-  // batch_amplitudes() any number of times.
+  // batch_amplitudes() any number of times. Safe to call from several
+  // threads at once (make_plan is single-threaded and deterministic, the
+  // plan cache is locked): the query engine plans its open-set signatures
+  // on scheduler workers with `prepare(bits, open).plan_template()`.
   PreparedPlan prepare(const std::vector<int>& bits,
                        const std::vector<int>& open_qubits = {}) const;
 
-  // Re-targets an already-resolved plan at a DIFFERENT output bitstring
-  // with the SAME open-qubit set: lowers the new network and rebuilds
-  // `rep`'s encoded plan over it (cache::decode_plan) — the planner never
-  // runs, because lowering is value-blind across output bit values. The
-  // query engine resolves each open-set signature once and re-targets it
-  // for every later group. Returns an invalid handle when `rep` is invalid,
-  // its open set differs, or the rebuild does not fit (caller falls back
-  // to prepare()).
+  // Re-targets a resolved plan at an output bitstring with the SAME
+  // open-qubit set: lowers the new network and rebuilds `tpl`'s encoded
+  // plan over it (cache::decode_plan). The planner never runs, because
+  // lowering is value-blind across output bit values. The query engine
+  // resolves each open-set signature once and re-targets it for every
+  // group. The rebuilt plan is filed in the plan cache under its own key
+  // (unless that is `tpl`'s key, already filed). Returns an invalid handle
+  // when `tpl` is invalid, its open set differs, or the rebuild does not
+  // fit (caller falls back to prepare()).
+  PreparedPlan prepare_like(const PlanTemplate& tpl, const std::vector<int>& bits,
+                            const std::vector<int>& open_qubits) const;
   PreparedPlan prepare_like(const PreparedPlan& rep, const std::vector<int>& bits,
                             const std::vector<int>& open_qubits) const;
 
@@ -207,7 +230,9 @@ class Simulator {
   // caller slices its answer out without any contraction (the query
   // engine's superset probe; proper supersets count as
   // ltns_cache_superset_hits_total). False when the cache is disabled or
-  // holds no covering batch.
+  // holds no covering batch. With `out` null it only asks the index —
+  // nothing is read or counted — so the engine can tell ahead of time
+  // which groups will not need a plan.
   bool find_covering_batch(const std::vector<int>& bits, const std::vector<int>& open_qubits,
                            cache::BatchEntry* out) const;
 
@@ -218,6 +243,10 @@ class Simulator {
  private:
   bool amplitude_from_cache(const std::string& key, double plan_seconds,
                             AmplitudeResult* out) const;
+  // A new plan state for (bits, open): its cache keys and its lowered,
+  // simplified network, already at its final heap address.
+  std::shared_ptr<PreparedPlan::State> lowered_state(const std::vector<int>& bits,
+                                                     const std::vector<int>& open_qubits) const;
   std::string plan_key_for(const std::vector<int>& bits,
                            const std::vector<int>& open_qubits) const;
   std::string result_key_for(const std::vector<int>& bits,

@@ -464,6 +464,7 @@ bool ResultCache::find_covering_batch(const std::string& scope, const std::vecto
       if (agree) candidates.emplace_back(ie.key, ie.open_qubits != open_qubits);
     }
   }
+  if (out == nullptr) return !candidates.empty();
   for (const auto& [key, proper] : candidates) {
     if (!lookup_batch(key, out)) continue;  // evicted since indexed: next
     if (proper) {

@@ -184,7 +184,9 @@ class ResultCache {
   // of `open_qubits` and whose base bits agree with `bits` outside it; the
   // caller slices its answer out (query::restrict_amplitudes). An exact
   // match can be returned too — compare out->open_qubits to distinguish;
-  // only proper supersets count toward superset_hits().
+  // only proper supersets count toward superset_hits(). With `out` null
+  // only the index is asked: no entry is read, nothing is counted, and an
+  // entry evicted since it was indexed still answers true.
   bool find_covering_batch(const std::string& scope, const std::vector<int>& bits,
                            const std::vector<int>& open_qubits, BatchEntry* out);
   uint64_t superset_hits() const;

@@ -2,11 +2,18 @@
 // circuit through shared contractions.
 //
 //   parse (query.hpp) -> group (grouper.hpp) -> per group: resolve a plan
-//   (first open-set signature plans once — possibly via the plan cache —
-//   every later group with the same signature REBUILDS that plan over its
-//   own lowered network, planner never re-invoked) -> contract through
-//   api::Simulator (solo, multi-process or elastic, per its options) ->
-//   evaluate members (eval.hpp) -> stream results in deterministic order.
+//   (each open-set signature plans once — possibly via the plan cache —
+//   and is kept as a compact api::PlanTemplate; every other group of the
+//   signature REBUILDS the template over its own lowered network, planner
+//   never re-invoked) -> contract through api::Simulator (solo, multi-process or
+//   elastic, per its options) -> evaluate members (eval.hpp) -> stream
+//   results in deterministic order.
+//
+// The first group plans on the engine thread and streams its answers;
+// then the first group of every other signature plans in ONE parallel
+// SliceScheduler run (options().scheduler, else the global one), skipping
+// signatures whose groups all have a covering batch. make_plan is
+// deterministic, so a plan is the same whichever thread builds it.
 //
 // Determinism contract (docs/queries.md): closed groups answer amplitude
 // queries with the byte-exact result of a standalone `amp` run; open-group
@@ -15,6 +22,8 @@
 #pragma once
 
 #include <functional>
+#include <map>
+#include <string>
 
 #include "api/simulator.hpp"
 #include "query/grouper.hpp"
@@ -44,6 +53,9 @@ struct EngineStats {
   uint64_t amplitudes_returned = 0;
   uint64_t samples_drawn = 0;
   uint64_t errors = 0;             // member results carrying an error
+  // Wall time the engine thread spent resolving plans (the parallel
+  // planning step counts once, not per plan) and contracting, so
+  // plan_seconds + exec_seconds never exceeds the run's wall time.
   double plan_seconds = 0;
   double exec_seconds = 0;
 };
@@ -60,6 +72,13 @@ class Engine {
   EngineStats run(const std::vector<Query>& queries, const ResultSink& sink);
 
  private:
+  // Plans, in one scheduler run, the first group of every signature in
+  // groups[1..] that is not in `known` and has a group no covering batch
+  // answers. Returns the valid templates by signature.
+  std::map<std::string, api::PlanTemplate> plan_ahead(
+      const std::vector<GroupSpec>& groups,
+      const std::map<std::string, api::PlanTemplate>& known) const;
+
   const api::Simulator& sim_;
   EngineOptions opt_;
 };

@@ -16,7 +16,12 @@
 //   6. a cached covering batch answers a subset query with zero
 //      contractions, counted as a superset hit;
 //   7. the v6 wire payloads (open-qubit jobs, query specs, per-query
-//      result records) round-trip losslessly.
+//      result records) round-trip losslessly;
+//   8. planning each open-set signature ahead, in one parallel scheduler
+//      run after the first group, changes neither the answers nor the plan
+//      counts: the stream is the same at any scheduler width, a throwing
+//      sink stops the run before that step, and a signature a covering
+//      batch answers is never planned.
 #include <gtest/gtest.h>
 
 #include <dirent.h>
@@ -24,17 +29,21 @@
 
 #include <complex>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "api/simulator.hpp"
 #include "dist/job.hpp"
+#include "path/optimizer.hpp"
 #include "query/engine.hpp"
 #include "query/eval.hpp"
 #include "query/grouper.hpp"
 #include "query/query.hpp"
+#include "runtime/slice_scheduler.hpp"
 #include "sv/statevector.hpp"
 #include "test_helpers.hpp"
+#include "util/timer.hpp"
 
 namespace ltns::query {
 namespace {
@@ -515,6 +524,165 @@ TEST(Engine, CoveringBatchAnswersSubsetWithZeroContractions) {
   ASSERT_EQ(warm[0].amplitudes.size(), 2u);
   EXPECT_EQ(warm[0].amplitudes[0], cold[0].amplitudes[0]);  // b1=0 -> b6=0 slice
   EXPECT_EQ(warm[0].amplitudes[1], cold[0].amplitudes[2]);  // b1=1 -> b6=0 slice
+}
+
+// --- planning ahead ----------------------------------------------------------
+
+// Five open-set signatures (closed, {1,6}, {0,8}, {0,1}, {2,4}) that a merge
+// bound of 2 keeps apart, two groups on the closed one.
+const char* kSignatureMix =
+    "amp 000000000\n"
+    "batch 0?0000?00\n"
+    "amp 010000000\n"
+    "batch ?0000000?\n"
+    "sample 5 11 ??0000000\n"
+    "batch 00?0?0000\n"
+    "expect ZIIIIIIIZ\n";
+
+EngineOptions two_open() {
+  EngineOptions eo;
+  eo.max_open = 2;
+  return eo;
+}
+
+// Every field of every streamed result, doubles compared as bits.
+void expect_same_stream(const std::vector<QueryResult>& a, const std::vector<QueryResult>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].id, b[i].id);
+    EXPECT_EQ(a[i].text, b[i].text);
+    EXPECT_EQ(a[i].error, b[i].error);
+    EXPECT_EQ(a[i].samples, b[i].samples);
+    ASSERT_EQ(a[i].amplitudes.size(), b[i].amplitudes.size());
+    EXPECT_EQ(std::memcmp(a[i].amplitudes.data(), b[i].amplitudes.data(),
+                          a[i].amplitudes.size() * sizeof(cd)),
+              0)
+        << "query " << a[i].id;
+    EXPECT_EQ(std::memcmp(&a[i].expectation, &b[i].expectation, sizeof(double)), 0);
+  }
+}
+
+TEST(Engine, StreamIsByteIdenticalOnOneAndFourWorkers) {
+  const auto circ = test::small_rqc(3, 3, 4, 7);
+  auto p = parse_queries(kSignatureMix, circ.num_qubits);
+  ASSERT_TRUE(p.ok()) << p.error;
+
+  std::vector<QueryResult> streams[2];
+  EngineStats stats[2];
+  const int widths[2] = {1, 4};
+  for (int k = 0; k < 2; ++k) {
+    runtime::SliceScheduler sched(widths[k]);
+    auto opt = quiet_options();
+    opt.scheduler = &sched;
+    api::Simulator sim(circ, opt);
+    Timer wall;
+    stats[k] = Engine(sim, two_open()).run(p.queries, [&](const QueryResult& r) {
+      streams[k].push_back(r);
+    });
+    const double wall_seconds = wall.seconds();
+    // Planning and execution are timed as wall time on the engine thread,
+    // never summed over the planning workers.
+    EXPECT_GT(stats[k].plan_seconds, 0.0);
+    EXPECT_LE(stats[k].plan_seconds + stats[k].exec_seconds, wall_seconds);
+  }
+  for (const auto& r : streams[0]) EXPECT_TRUE(r.error.empty()) << r.error;
+  expect_same_stream(streams[0], streams[1]);
+  for (const auto& st : stats) {
+    EXPECT_EQ(st.groups, 6u);
+    EXPECT_EQ(st.planner_passes, 5u);  // one per signature
+    EXPECT_EQ(st.plan_rebuilds, 1u);   // the second closed group
+    EXPECT_EQ(st.plan_cache_hits, 0u);
+  }
+}
+
+TEST(PlanTemplate, PrepareLikeTemplateDecodesTheSamePlan) {
+  const auto circ = test::small_rqc(3, 3, 4, 7);
+  api::Simulator sim(circ, quiet_options());
+  const std::vector<int> open = {1, 6};
+  const std::vector<int> bits(9, 0);
+  std::vector<int> other = bits;
+  other[0] = 1;
+
+  const api::PreparedPlan rep = sim.prepare(bits, open);
+  const api::PlanTemplate tpl = rep.plan_template();
+  ASSERT_TRUE(tpl.valid());
+  EXPECT_EQ(tpl.open_qubits, open);
+  EXPECT_FALSE(tpl.from_cache);
+  EXPECT_EQ(tpl.plan_cache_key, rep.plan_cache_key());
+
+  const api::PreparedPlan from_rep = sim.prepare_like(rep, other, open);
+  const api::PreparedPlan from_tpl = sim.prepare_like(tpl, other, open);
+  ASSERT_TRUE(from_rep.valid());
+  ASSERT_TRUE(from_tpl.valid());
+  EXPECT_EQ(from_tpl.plan_template().plan, tpl.plan);
+  EXPECT_EQ(from_rep.plan_template().plan, tpl.plan);
+  EXPECT_EQ(from_tpl.bits(), other);
+  EXPECT_TRUE(from_tpl.plan_from_cache());
+
+  // A different open set, or no plan at all, does not re-target.
+  EXPECT_FALSE(sim.prepare_like(tpl, other, {1}).valid());
+  EXPECT_FALSE(sim.prepare_like(api::PlanTemplate{}, other, open).valid());
+  EXPECT_FALSE(api::PreparedPlan{}.plan_template().valid());
+}
+
+TEST(Engine, SinkThrowingOnFirstAnswerStartsNoPlanning) {
+  const auto circ = test::small_rqc(3, 3, 4, 7);
+  auto p = parse_queries(kSignatureMix, circ.num_qubits);
+  ASSERT_TRUE(p.ok()) << p.error;
+  runtime::SliceScheduler sched(2);
+  auto opt = quiet_options();
+  opt.scheduler = &sched;
+  api::Simulator sim(circ, opt);
+
+  struct Stop {};
+  const uint64_t paths_before = path::find_path_invocations();
+  EXPECT_THROW(Engine(sim, two_open()).run(p.queries, [](const QueryResult&) { throw Stop{}; }),
+               Stop);
+  // Only the first group's plan was made.
+  EXPECT_EQ(path::find_path_invocations() - paths_before, 1u);
+  EXPECT_EQ(sim.cache_stats().plan.misses, 1u);
+
+  // The Simulator and its scheduler still serve a whole run, with the
+  // answers and counts of a fresh one.
+  std::vector<QueryResult> again, fresh;
+  const auto st = Engine(sim, two_open()).run(p.queries, [&](const QueryResult& r) {
+    again.push_back(r);
+  });
+  api::Simulator sim2(circ, quiet_options());
+  const auto st2 = Engine(sim2, two_open()).run(p.queries, [&](const QueryResult& r) {
+    fresh.push_back(r);
+  });
+  expect_same_stream(again, fresh);
+  EXPECT_EQ(st.errors, 0u);
+  EXPECT_EQ(st.planner_passes, 4u);  // the closed plan came from the cache
+  EXPECT_EQ(st.plan_cache_hits, 1u);
+  EXPECT_EQ(st2.planner_passes, 5u);
+}
+
+TEST(Engine, SignatureAnsweredByCoveringBatchIsNeverPlanned) {
+  const auto circ = test::small_rqc(3, 3, 4, 7);
+  api::Simulator sim(circ, quiet_options());
+  auto p1 = parse_queries("batch 0?0000?00\n", circ.num_qubits);
+  ASSERT_TRUE(p1.ok());
+  Engine(sim, EngineOptions{}).run(p1.queries, [](const QueryResult&) {});
+
+  // The second file's batch is a subset of the cached {1, 6} batch (the
+  // subset job of scripts/query_e2e.sh); only the amp needs a plan.
+  auto p2 = parse_queries("amp 000000000\nbatch 0?0000000\n", circ.num_qubits);
+  ASSERT_TRUE(p2.ok());
+  const uint64_t paths_before = path::find_path_invocations();
+  const uint64_t misses_before = sim.cache_stats().plan.misses;
+  std::vector<QueryResult> results;
+  const auto st = Engine(sim, EngineOptions{}).run(p2.queries, [&](const QueryResult& r) {
+    results.push_back(r);
+  });
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(st.superset_hits, 1u);
+  EXPECT_EQ(st.contractions, 1u);
+  EXPECT_EQ(st.planner_passes, 1u);
+  EXPECT_EQ(st.plan_rebuilds, 0u);
+  EXPECT_EQ(path::find_path_invocations() - paths_before, 1u);
+  EXPECT_EQ(sim.cache_stats().plan.misses - misses_before, 1u);
 }
 
 // --- v6 wire round-trips ---------------------------------------------------

@@ -9,11 +9,12 @@
 // Shape to reproduce: near-linear strong scaling until subtasks/node ~ 1,
 // flat weak scaling.
 //
-// The trailing section compares the static-partition ThreadPool against the
-// work-stealing SliceScheduler on a skewed per-subtask cost profile (the
-// variance secondary slicing produces) — measured wall times, a
-// machine-independent modeled makespan, and a bit-stability check on the
-// accumulated run_sliced amplitudes. Results are emitted as JSON
+// The trailing section compares a static partition (plain std::threads, one
+// contiguous chunk each — the model baseline) against the work-stealing
+// SliceScheduler on a skewed per-subtask cost profile (the variance
+// secondary slicing produces) — measured wall times, a machine-independent
+// modeled makespan, and a bit-stability check of run_sliced's accumulated
+// amplitudes on 1 vs 8 scheduler workers. Results are emitted as JSON
 // (fig11_runtime.json) for the bench trajectory.
 #include <algorithm>
 #include <chrono>
@@ -95,11 +96,16 @@ RuntimeRow measure_skewed(uint64_t n, int workers, double skew, double quantum_m
         std::chrono::microseconds(int64_t(cost[t] * quantum_ms * 1000)));
   };
 
-  ThreadPool pool(workers);
+  // Static partition: one contiguous chunk per thread, no rebalancing.
   Timer ts;
-  pool.parallel_for(n, [&](int, size_t b, size_t e) {
-    for (size_t t = b; t < e; ++t) spin(t);
-  });
+  std::vector<std::thread> chunks;
+  for (int w = 0; w < workers; ++w)
+    chunks.emplace_back([&, w] {
+      const uint64_t b = n * uint64_t(w) / uint64_t(workers);
+      const uint64_t e = n * uint64_t(w + 1) / uint64_t(workers);
+      for (uint64_t t = b; t < e; ++t) spin(t);
+    });
+  for (auto& th : chunks) th.join();
   row.static_seconds = ts.seconds();
 
   runtime::SliceScheduler sched(workers);
@@ -172,7 +178,7 @@ int main(int argc, char** argv) {
   for (const auto& pt : weak)
     std::printf("%8d %14.4f %11.1f%%\n", pt.nodes, pt.seconds, 100 * pt.parallel_efficiency);
 
-  // Host-level sanity: oversubscribed thread-pool strong scaling of real
+  // Host-level sanity: oversubscribed scheduler strong scaling of real
   // subtasks (functional, not a throughput claim on 1 core).
   std::printf("\nhost check: %d real subtasks executed, results accumulated once (allReduce)\n",
               probe);
@@ -193,26 +199,25 @@ int main(int argc, char** argv) {
                 (unsigned long long)row.stolen);
   }
 
-  // Real sliced contraction through both executors: the accumulated tensor
-  // must be bitwise identical (tournament reduction), whatever the timing.
+  // Real sliced contraction on 1 and 8 scheduler workers: the accumulated
+  // tensor must be bitwise identical (tournament reduction), whatever the
+  // timing and whoever ran which subtask.
   core::GreedySlicerOptions go;
   go.target_log2size = std::max(4.0, inst.tree->max_log2size() - 6);
   auto S2 = core::greedy_slice(*inst.tree, go);
-  exec::SliceRunOptions st;
-  st.executor = exec::SliceExecutor::kStaticPool;
-  ThreadPool pool8(8);
-  st.pool = &pool8;
-  auto rs = exec::run_sliced(*inst.tree, inst.leaves(), S2, st);
+  runtime::SliceScheduler sched1(1);
+  exec::SliceRunOptions w1;
+  w1.scheduler = &sched1;
+  auto rs = exec::run_sliced(*inst.tree, inst.leaves(), S2, w1);
   runtime::SliceScheduler sched8(8);
   exec::SliceRunOptions ws;
-  ws.executor = exec::SliceExecutor::kWorkStealing;
   ws.scheduler = &sched8;
   auto rw = exec::run_sliced(*inst.tree, inst.leaves(), S2, ws);
   const bool bit_stable =
       rs.accumulated.size() == rw.accumulated.size() &&
       std::memcmp(rs.accumulated.raw(), rw.accumulated.raw(),
                   rs.accumulated.size() * sizeof(exec::cfloat)) == 0;
-  std::printf("\nreal run_sliced (2^%d subtasks, 8 workers): static %.3fs, stealing %.3fs, "
+  std::printf("\nreal run_sliced (2^%d subtasks): 1 worker %.3fs, 8 workers %.3fs, "
               "accumulated amplitudes bitwise %s\n",
               S2.size(), rs.wall_seconds, rw.wall_seconds, bit_stable ? "EQUAL" : "DIFFERENT");
 
@@ -350,8 +355,8 @@ int main(int argc, char** argv) {
          << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   json << "  ],\n  \"real_run\": {\"subtasks\": " << (uint64_t(1) << S2.size())
-       << ", \"static_seconds\": " << rs.wall_seconds
-       << ", \"ws_seconds\": " << rw.wall_seconds << ", \"bit_stable\": " << std::boolalpha
+       << ", \"w1_seconds\": " << rs.wall_seconds
+       << ", \"w8_seconds\": " << rw.wall_seconds << ", \"bit_stable\": " << std::boolalpha
        << bit_stable << "},\n  \"sharded\": {\"subtasks\": " << (uint64_t(1) << S2.size())
        << ", \"p1_seconds\": " << rp1.wall_seconds << ", \"p4_seconds\": " << rp4.wall_seconds
        << ", \"bit_stable\": " << std::boolalpha << shard_stable

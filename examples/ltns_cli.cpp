@@ -21,10 +21,11 @@
 //
 // Runtime flags (anywhere on the command line; `--help` prints them grouped
 // the way api::SimulatorOptions nests them):
-//   --runtime=ws|static|serial   subtask executor (default ws = work stealing)
 //   --grain=N                    scheduler chunk size (tasks per deque pop)
 //   --processes=N                fork N shard processes (amp/sample; default 1)
-//   --workers=N                  scheduler width per process (default: hw/N)
+//   --workers=N                  scheduler width per process (default: hw/N);
+//                                its idle workers also share a task's
+//                                secondary subtasks
 //   --precision=fp32|bf16        GEMM operand precision (default fp32); bf16
 //                                keeps fp32 accumulation and is deterministic
 //                                but only ULP-close to fp32 (docs/kernels.md).
@@ -66,6 +67,7 @@
 //
 // Circuits use the ltnsqc v1 text format (see src/circuit/io.hpp); "-" reads
 // stdin. This is the fourth runnable example and the scripting entry point.
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <complex>
@@ -78,6 +80,7 @@
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -93,6 +96,7 @@
 #include "obs/trace.hpp"
 #include "path/optimizer.hpp"
 #include "query/engine.hpp"
+#include "runtime/slice_scheduler.hpp"
 #include "sv/statevector.hpp"
 #include "util/timer.hpp"
 
@@ -101,7 +105,6 @@ using namespace ltns;
 namespace {
 
 struct RuntimeFlags {
-  exec::SliceExecutor executor = exec::SliceExecutor::kWorkStealing;
   uint64_t grain = 1;
   double target = 16;  // planner slicing target (log2 of max tensor size)
   int processes = 1;
@@ -169,19 +172,29 @@ T parse_number(const char* text, const char* what, T lo = std::numeric_limits<T>
   return v;
 }
 
-const char* executor_name(exec::SliceExecutor e) {
-  switch (e) {
-    case exec::SliceExecutor::kWorkStealing: return "work-stealing";
-    case exec::SliceExecutor::kStaticPool: return "static-pool";
-    case exec::SliceExecutor::kInnerPool: return "serial+inner-pool";
-  }
-  return "?";
+bool runs_in_process() { return g_flags.processes == 1 && !g_flags.elastic; }
+
+// The scheduler an in-process run uses: --workers wide when given, else
+// the process-wide default.
+runtime::SliceScheduler& cli_scheduler() {
+  if (g_flags.workers == 0) return runtime::SliceScheduler::global();
+  static runtime::SliceScheduler sized(g_flags.workers);
+  return sized;
+}
+
+// Worker threads a run computes on: the in-process scheduler's width, or
+// every shard process's scheduler together (exec::run_sharded's split).
+int run_workers() {
+  if (runs_in_process()) return cli_scheduler().size();
+  const int hw = int(std::max(1u, std::thread::hardware_concurrency()));
+  const int per = g_flags.workers > 0 ? g_flags.workers : std::max(1, hw / g_flags.processes);
+  return per * g_flags.processes;
 }
 
 api::SimulatorOptions make_sim_options() {
   api::SimulatorOptions opt;
   opt.plan.target_log2size = g_flags.target;
-  opt.executor = g_flags.executor;
+  if (runs_in_process()) opt.scheduler = &cli_scheduler();
   opt.grain = g_flags.grain;
   opt.precision = g_flags.precision.value_or(exec::Precision::kFp32);
   opt.sharding.processes = g_flags.processes;
@@ -202,19 +215,17 @@ api::SimulatorOptions make_sim_options() {
   return opt;
 }
 
-// Strips --runtime=/--grain=/--no-telemetry from argv; returns the rest.
+// Strips the run flags (--grain=, --no-telemetry, ...) from argv; returns
+// the rest.
 std::vector<char*> parse_runtime_flags(int argc, char** argv) {
   std::vector<char*> rest;
   for (int i = 0; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--runtime=", 10) == 0) {
-      const char* v = argv[i] + 10;
-      if (std::strcmp(v, "ws") == 0) g_flags.executor = exec::SliceExecutor::kWorkStealing;
-      else if (std::strcmp(v, "static") == 0) g_flags.executor = exec::SliceExecutor::kStaticPool;
-      else if (std::strcmp(v, "serial") == 0) g_flags.executor = exec::SliceExecutor::kInnerPool;
-      else {
-        std::fprintf(stderr, "unknown --runtime '%s' (ws|static|serial)\n", v);
-        std::exit(64);
-      }
+    if (std::strncmp(argv[i], "--runtime", 9) == 0 &&
+        (argv[i][9] == '\0' || argv[i][9] == '=')) {
+      std::fprintf(stderr, "--runtime was removed: the scheduler now spreads a task's "
+                           "secondary subtasks over its idle workers itself; size it with "
+                           "--workers=N\n");
+      std::exit(64);
     } else if (std::strncmp(argv[i], "--grain=", 8) == 0) {
       g_flags.grain = parse_number<uint64_t>(argv[i] + 8, "--grain");
     } else if (std::strncmp(argv[i], "--processes=", 12) == 0) {
@@ -528,15 +539,25 @@ void print_cache(const cache::CacheStats& c) {
               (unsigned long long)c.result.disk_hits, (unsigned long long)c.result.misses);
 }
 
-void print_telemetry(const runtime::ExecutorSnapshot& rt, const runtime::MemoryStats& mem) {
+// `workers` and `wall_seconds` describe the run when known (0 otherwise):
+// utilization is then the whole run's kernel thread-seconds (gemm +
+// permute + staging) over workers x wall.
+void print_telemetry(const runtime::ExecutorSnapshot& rt, const runtime::MemoryStats& mem,
+                     int workers = 0, double wall_seconds = 0) {
   if (!g_flags.telemetry) return;
-  std::printf("runtime [%s]: %llu tasks (%llu stolen, %llu cancelled), utilization %.0f%%\n",
-              executor_name(g_flags.executor), (unsigned long long)rt.finished,
-              (unsigned long long)rt.stolen, (unsigned long long)rt.cancelled,
-              100 * rt.ema_utilization);
-  std::printf("  phases: gemm %.3fs (%llu), permute %.3fs (%llu), reduce %.3fs (%llu merges)\n",
+  std::printf("runtime: %llu tasks (%llu stolen, %llu cancelled)",
+              (unsigned long long)rt.finished, (unsigned long long)rt.stolen,
+              (unsigned long long)rt.cancelled);
+  if (workers > 0 && wall_seconds > 0) {
+    const double busy = rt.gemm.seconds + rt.permute.seconds + rt.memory.seconds;
+    std::printf(" on %d workers, utilization %.0f%%", workers,
+                100 * busy / (workers * wall_seconds));
+  }
+  std::printf("\n");
+  std::printf("  phases: gemm %.3fs (%llu), permute %.3fs (%llu), staging %.3fs, "
+              "reduce %.3fs (%llu merges)\n",
               rt.gemm.seconds, (unsigned long long)rt.gemm.count, rt.permute.seconds,
-              (unsigned long long)rt.permute.count, rt.reduce.seconds,
+              (unsigned long long)rt.permute.count, rt.memory.seconds, rt.reduce.seconds,
               (unsigned long long)rt.reduce.count);
   std::printf("  memory: main %.3g B, LDM get/put %.3g/%.3g B, RMA %.3g B, "
               "LDM peak %zu elems, host peak %zu elems\n",
@@ -662,7 +683,7 @@ int cmd_amp(int argc, char** argv) {
   std::printf("slices %d, overhead %.4f, flops %.3g\n", res.num_slices, res.slicing.overhead(),
               tel.stats.flops);
   const auto cstats = sim.cache_stats();
-  print_telemetry(tel.runtime_stats, tel.memory);
+  print_telemetry(tel.runtime_stats, tel.memory, run_workers(), res.exec_seconds);
   print_shards(tel.shards);
   print_rebalance(tel.rebalance);
   print_cache(cstats);
@@ -703,7 +724,7 @@ int cmd_sample(int argc, char** argv) {
   for (int q : open) std::printf(" %d", q);
   std::printf("\n");
   const auto cstats = sim.cache_stats();
-  print_telemetry(tel.runtime_stats, tel.memory);
+  print_telemetry(tel.runtime_stats, tel.memory, run_workers(), wall_seconds);
   print_shards(tel.shards);
   print_rebalance(tel.rebalance);
   print_cache(cstats);
@@ -804,7 +825,6 @@ int cmd_coordinate(int argc, char** argv) {
 
   dist::ServiceOptions so;
   so.target_log2size = g_flags.target;
-  so.executor = g_flags.executor;
   so.grain = g_flags.grain;
   so.workers_per_process = g_flags.workers;
   so.precision = g_flags.precision.value_or(exec::Precision::kFp32);
@@ -883,7 +903,6 @@ int cmd_serve(int argc, char** argv) {
   so.stall_timeout_seconds = g_flags.stall_timeout;
   so.fsync_seconds = g_flags.spill_fsync;
   so.workers_per_process = g_flags.workers;
-  so.executor = uint32_t(g_flags.executor);
   so.grain = g_flags.grain;
   so.metrics_out = g_flags.metrics_out;
   so.metrics_interval_seconds = g_flags.metrics_interval;
@@ -1106,7 +1125,7 @@ int main(int raw_argc, char** raw_argv) {
                  "  shutdown <host> <port>                  drain the fleet and exit\n"
                  "\n"
                  "run flags:\n"
-                 "  --runtime=ws|static|serial --grain=N\n"
+                 "  --grain=N\n"
                  "  --precision=fp32|bf16   GEMM operand precision (default fp32); the\n"
                  "                  kernel tier is probed at runtime, LTNS_FORCE_ISA\n"
                  "                  clamps it (docs/kernels.md)\n"

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Bad circuit files, bitstrings and numbers fail clean: ltns_cli exits 2
 # with one line on stderr (a circuit error reads "<path>:<line>: <message>",
-# a number error names the argument), never an abort or a silent 0, and a
-# good input still answers with exit 0.
+# a number error names the argument), never an abort or a silent 0; a
+# removed flag exits 64 with one line; and a good input still answers with
+# exit 0.
 #
 # Usage: scripts/cli_input_e2e.sh [path-to-ltns_cli]
 set -uo pipefail
@@ -56,6 +57,9 @@ expect 2 "rows: 0 is out of range" gen 0 3 2
 expect 2 "n_samples: 'abc' is not a number" sample "$DIR/q3.qc" 2 abc
 expect 2 "--workers: 'x' is not a number" --workers=x amp "$DIR/q3.qc" 010
 expect 2 "--target: 'abc' is not a number" --target=abc amp "$DIR/q3.qc" 010
+
+# A removed flag exits 64 with one line saying what replaced it.
+expect 64 "scheduler now spreads a task's secondary subtasks" --runtime=serial amp "$DIR/q3.qc" 010
 
 # Good input still runs.
 expect 0 "" amp "$DIR/q3.qc" 010

@@ -138,7 +138,6 @@ RunOutput run(const circuit::LoweredNetwork& lowered, const core::Plan& plan,
     exec::ShardRunOptions so;
     so.processes = opt.sharding.processes;
     so.workers_per_process = opt.sharding.workers_per_process;
-    so.executor = opt.executor;
     so.grain = opt.grain;
     so.fused = fused;
     so.elastic = opt.sharding.elastic;
@@ -168,10 +167,8 @@ RunOutput run(const circuit::LoweredNetwork& lowered, const core::Plan& plan,
   }
 
   exec::SliceRunOptions ro;
-  ro.executor = opt.executor;
   ro.scheduler = opt.scheduler;
   ro.grain = opt.grain;
-  ro.pool = opt.pool != nullptr ? opt.pool : &ThreadPool::global();
   ro.fused = fused;
   ro.precision = opt.precision;
   out.r = exec::run_sliced(*plan.tree, leaves, plan.slices, ro);
@@ -249,9 +246,10 @@ PreparedPlan Simulator::prepare_like(const PlanTemplate& tpl, const std::vector<
   // folded differently), return invalid and let the caller fall back to a
   // full prepare().
   if (!cache::decode_plan(tpl.plan, st->lowered.net, &st->plan)) return {};
-  st->plan_from_cache = true;  // the planner never ran
-  if (plan_cache_ != nullptr && st->plan_cache_key != tpl.plan_cache_key)
-    plan_cache_->insert(st->plan_cache_key, st->plan);
+  // The planner never ran. The rebuild is not filed in the plan cache: the
+  // template's plan already is, under its own key, and a query file's many
+  // rebuilds would otherwise evict it from the LRU.
+  st->plan_from_cache = true;
   st->plan_seconds = t.seconds();
   PreparedPlan p;
   p.state_ = std::move(st);

@@ -73,11 +73,9 @@ struct SimulatorOptions {
   core::PlanOptions plan;
   bool fused = true;              // secondary-slicing executor on the stem
   size_t ldm_elems = 32768;       // LDM model capacity: 256 KB / 8 B
-  // Slice-subtask runtime: work stealing by default; the static ThreadPool
-  // partition and the legacy inner-pool mode remain selectable fallbacks.
-  exec::SliceExecutor executor = exec::SliceExecutor::kWorkStealing;
-  ThreadPool* pool = nullptr;     // kInnerPool/kStaticPool; defaults to global
-  runtime::SliceScheduler* scheduler = nullptr;  // kWorkStealing; defaults to global
+  // Slice-subtask runtime: the work-stealing scheduler, whose idle workers
+  // also share a running task's secondary subtasks.
+  runtime::SliceScheduler* scheduler = nullptr;  // defaults to global
   uint64_t grain = 1;             // scheduler chunk size (tasks per pop)
   // GEMM operand precision: fp32 (default; bitwise contract) or bf16
   // (mixed precision: bf16 operands, fp32 accumulation — deterministic,
@@ -194,8 +192,9 @@ class Simulator {
   // plan over it (cache::decode_plan). The planner never runs, because
   // lowering is value-blind across output bit values. The query engine
   // resolves each open-set signature once and re-targets it for every
-  // group. The rebuilt plan is filed in the plan cache under its own key
-  // (unless that is `tpl`'s key, already filed). Returns an invalid handle
+  // group. The rebuilt plan is not filed in the plan cache (the template's
+  // plan is, under the template's key), so a file's rebuilds never evict
+  // the plans they were made from. Returns an invalid handle
   // when `tpl` is invalid, its open set differs, or the rebuild does not
   // fit (caller falls back to prepare()).
   PreparedPlan prepare_like(const PlanTemplate& tpl, const std::vector<int>& bits,

@@ -15,7 +15,6 @@ void put_job(ByteWriter& w, const Job& j) {
   w.put_string(j.bits);
   w.put<double>(j.target_log2size);
   w.put<uint64_t>(j.plan_seed);
-  w.put<uint32_t>(j.executor);
   w.put<uint64_t>(j.grain);
   w.put<int32_t>(j.workers);
   w.put<int32_t>(j.num_slices);
@@ -39,7 +38,6 @@ Job get_job(ByteReader& r) {
   j.bits = r.get_string();
   j.target_log2size = r.get<double>();
   j.plan_seed = r.get<uint64_t>();
-  j.executor = r.get<uint32_t>();
   j.grain = r.get<uint64_t>();
   j.workers = r.get<int32_t>();
   j.num_slices = r.get<int32_t>();

@@ -30,7 +30,6 @@ struct Job {
   std::string bits;  // '0'/'1' per qubit
   double target_log2size = 16;
   uint64_t plan_seed = 0;
-  uint32_t executor = 0;
   uint64_t grain = 1;
   int32_t workers = 0;
   int32_t num_slices = 0;  // coordinator's |S|; worker must agree

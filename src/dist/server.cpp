@@ -502,7 +502,6 @@ struct ServerImpl {
     j.base.bits = j.spec.bits;
     j.base.target_log2size = j.spec.target_log2size;
     j.base.plan_seed = j.spec.plan_seed;
-    j.base.executor = opt.executor;
     j.base.grain = opt.grain;
     j.base.workers = opt.workers_per_process;
     j.base.num_slices = int32_t(ns);
@@ -645,7 +644,6 @@ struct ServerImpl {
     c.base.open_qubits = g.open_qubits;
     c.base.target_log2size = parent.spec.target_log2size;
     c.base.plan_seed = parent.spec.plan_seed;
-    c.base.executor = opt.executor;
     c.base.grain = opt.grain;
     c.base.workers = opt.workers_per_process;
     c.base.num_slices = int32_t(ns);
@@ -1622,7 +1620,6 @@ struct WorkerJobCtx {
   exec::FusedPlan fused_plan;
   bool has_fused = false;
   exec::Precision precision = exec::Precision::kFp32;
-  uint32_t executor = 0;
   uint64_t grain = 1;
   ShardTelemetry tel;
 };
@@ -1674,7 +1671,6 @@ int serve_fleet_worker(int fd, int worker_id, double heartbeat_seconds) {
   int rc = 0;
   try {
     std::map<uint64_t, std::unique_ptr<WorkerJobCtx>> ctxs;
-    std::unique_ptr<ThreadPool> pool;
     std::unique_ptr<runtime::SliceScheduler> sched;
     uint64_t ranges_done = 0;
 
@@ -1718,15 +1714,11 @@ int serve_fleet_worker(int fd, int worker_id, double heartbeat_seconds) {
                                                size_t(job.ldm_elems));
             ctx->has_fused = true;
           }
-          ctx->executor = job.executor;
           ctx->grain = job.grain;
           ctx->tel.shard = worker_id;
           ctx->tel.isa = isa;
-          if (pool == nullptr) {
-            const int workers = job.workers > 0 ? job.workers : 0;  // 0 = hardware
-            pool = std::make_unique<ThreadPool>(workers);
-            sched = std::make_unique<runtime::SliceScheduler>(workers);
-          }
+          if (sched == nullptr)  // the first job sizes it; 0 workers = hardware
+            sched = std::make_unique<runtime::SliceScheduler>(std::max(0, int(job.workers)));
           ctxs[job.job_id] = std::move(ctx);
           continue;
         }
@@ -1752,9 +1744,7 @@ int serve_fleet_worker(int fd, int worker_id, double heartbeat_seconds) {
       }
 
       ShardStreamOptions so;
-      so.executor = exec::SliceExecutor(ctx.executor);
       so.grain = ctx.grain;
-      so.pool = pool.get();
       so.scheduler = sched.get();
       so.fused = ctx.has_fused ? &ctx.fused_plan : nullptr;
       so.precision = ctx.precision;

@@ -124,7 +124,6 @@ struct ServerOptions {
   double fsync_seconds = 0;  // per-job journal fsync cadence (0 = every record)
   // Execution defaults stamped into every job's kJob payload.
   int workers_per_process = 0;  // 0 = worker hardware decides
-  uint32_t executor = 0;        // exec::SliceExecutor
   uint64_t grain = 1;
   std::string metrics_out;  // ltns_server_*/ltns_tenant_* snapshot target
   double metrics_interval_seconds = 0;

@@ -78,7 +78,6 @@ CoordinatorResult CoordinatorServer::run_amplitude(int num_workers, const circui
   for (int b : bits) base.bits.push_back(b != 0 ? '1' : '0');
   base.target_log2size = opt.target_log2size;
   base.plan_seed = core::PlanOptions{}.seed;
-  base.executor = uint32_t(opt.executor);
   base.grain = opt.grain;
   base.workers = opt.workers_per_process;
   base.num_slices = int32_t(p.plan.num_slices());
@@ -291,9 +290,7 @@ int serve_worker(const std::string& host, uint16_t port) {
     if (job.first + job.count > totalv)
       throw std::runtime_error("shard window outside the task range");
 
-    const int workers = job.workers > 0 ? job.workers : 0;  // 0 = hardware
-    ThreadPool pool(workers);
-    runtime::SliceScheduler sched(workers);
+    runtime::SliceScheduler sched(job.workers > 0 ? job.workers : 0);  // 0 = hardware
     auto leaves = [&ln = p.lowered](tn::VertId v) -> const exec::Tensor& {
       return ln.tensors[size_t(v)];
     };
@@ -306,9 +303,7 @@ int serve_worker(const std::string& host, uint16_t port) {
     }
 
     ShardStreamOptions so;
-    so.executor = exec::SliceExecutor(job.executor);
     so.grain = job.grain;
-    so.pool = &pool;
     so.scheduler = &sched;
     so.fused = fused;
     so.precision = job.precision;

@@ -29,7 +29,6 @@ namespace ltns::dist {
 
 struct ServiceOptions {
   double target_log2size = 16;  // planner slicing bound (must match CLI amp)
-  exec::SliceExecutor executor = exec::SliceExecutor::kWorkStealing;
   uint64_t grain = 1;
   int workers_per_process = 0;  // scheduler width per worker; 0 = hardware
   // Fused (secondary-slicing) stem executor, as the Simulator defaults to —

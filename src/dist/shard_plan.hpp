@@ -26,8 +26,7 @@ struct Shard {
 };
 
 // Partitions [0, total) into `processes` contiguous windows with the
-// balanced boundaries total·p/P — identical to ThreadPool::parallel_for's
-// static split, so a 1-process plan is the whole range. Processes beyond
+// balanced boundaries total·p/P, so a 1-process plan is the whole range. Processes beyond
 // `total` receive empty shards.
 std::vector<Shard> make_shard_plan(uint64_t total, int processes);
 

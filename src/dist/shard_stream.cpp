@@ -16,8 +16,6 @@ exec::Tensor reduce_block(const AlignedBlock& block, const tn::ContractionTree& 
   exec::SliceRunOptions ro;
   ro.first_task = block.first();
   ro.num_tasks = block.count();
-  ro.executor = opt.executor;
-  ro.pool = opt.pool;
   ro.scheduler = opt.scheduler;
   ro.grain = opt.grain;
   ro.fused = opt.fused;

@@ -16,9 +16,7 @@
 namespace ltns::dist {
 
 struct ShardStreamOptions {
-  exec::SliceExecutor executor = exec::SliceExecutor::kWorkStealing;
   uint64_t grain = 1;
-  ThreadPool* pool = nullptr;                    // required
   runtime::SliceScheduler* scheduler = nullptr;  // required
   const exec::FusedPlan* fused = nullptr;
   exec::Precision precision = exec::Precision::kFp32;  // GEMM operand precision

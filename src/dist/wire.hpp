@@ -61,7 +61,10 @@ inline constexpr uint32_t kWireMagic = 0x4C544E53u;  // "LTNS"
 //     heartbeat payloads carried as the backend name is now the ISA tier
 //     the worker's kernels ran at ("avx512", "portable", ...). Payload
 //     layouts are unchanged; v7 binaries are refused by the version check.
-inline constexpr uint16_t kWireVersion = 8;
+// v9: one worker set. Job lost its `executor` field (the static and serial
+//     executors are gone; every worker runs the work-stealing scheduler,
+//     whose idle workers share a task's secondary subtasks).
+inline constexpr uint16_t kWireVersion = 9;
 
 // Header endianness markers; read_frame rejects a frame whose marker does
 // not match the host's.

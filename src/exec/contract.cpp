@@ -43,7 +43,7 @@ Tensor permute_operand(const Tensor& t, const std::vector<int>& order, ContractS
   return permute_simd(device::cpu_probe().active, t, order);
 }
 
-Tensor contract(const Tensor& a, const Tensor& b, ThreadPool* pool, ContractStats* stats,
+Tensor contract(const Tensor& a, const Tensor& b, runtime::SliceScheduler* sched, ContractStats* stats,
                 Precision prec, device::DeviceStats* dstats) {
   ContractPlan p = plan_contract(a.ixs(), b.ixs());
   const IsaTier tier = device::cpu_probe().active;
@@ -65,7 +65,7 @@ Tensor contract(const Tensor& a, const Tensor& b, ThreadPool* pool, ContractStat
     ScopedSeconds st(stats != nullptr ? &stats->gemm_seconds : nullptr);
     obs::TraceScope tr(obs::EventKind::kGemm, uint64_t(p.m) * uint64_t(p.n), uint64_t(p.k));
     SimdPackStats pack;
-    cgemm_simd(tier, prec, p.m, p.n, p.k, ap->raw(), bp->raw(), out.raw(), pool, &pack);
+    cgemm_simd(tier, prec, p.m, p.n, p.k, ap->raw(), bp->raw(), out.raw(), sched, &pack);
     if (pack.bytes > 0) obs::trace_instant(obs::EventKind::kDeviceUpload, uint64_t(pack.bytes));
     if (dstats) {
       dstats->gemm_calls += 1;

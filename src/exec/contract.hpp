@@ -14,7 +14,6 @@
 #include "exec/permute.hpp"
 #include "exec/simd_kernels.hpp"
 #include "exec/tensor.hpp"
-#include "util/parallel.hpp"
 
 namespace ltns::device {
 struct DeviceStats;
@@ -41,12 +40,13 @@ struct ContractStats {
   double permute_seconds = 0;
 };
 
-// Contracts A with B over all shared edges. `pool` parallelizes the GEMM;
+// Contracts A with B over all shared edges. `sched` (optional) splits the
+// GEMM's rows over idle workers of its running slice run (for_row_panels);
 // stats (optional) accumulate. The permute and GEMM run the vector kernels
 // at the tier device::cpu_probe() selects, with GEMM operands at `prec`;
 // at fp32 every tier is bitwise identical to exec::permute + exec::cgemm.
 // `dstats` (optional) receives the kernel-call and packing accounting.
-Tensor contract(const Tensor& a, const Tensor& b, ThreadPool* pool = nullptr,
+Tensor contract(const Tensor& a, const Tensor& b, runtime::SliceScheduler* sched = nullptr,
                 ContractStats* stats = nullptr, Precision prec = Precision::kFp32,
                 device::DeviceStats* dstats = nullptr);
 

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <mutex>
 
+#include "runtime/slice_scheduler.hpp"
 #include "util/timer.hpp"
 
 namespace ltns::exec {
@@ -145,7 +146,7 @@ size_t tail_block_elems(const Tensor& t, const IndexSet& secondary) {
 
 struct WindowExec {
   const FusedPlan& plan;
-  ThreadPool* pool;
+  runtime::SliceScheduler* sched;
   FusedStats* stats;
   Precision prec;
 
@@ -250,9 +251,10 @@ struct WindowExec {
       }
     };
 
-    // Subtasks run in parallel on the CPE grid.
-    if (pool != nullptr) {
-      pool->parallel_for_each(size_t(n_sub), run_subtask);
+    // Subtasks run in parallel on the CPE grid: on the scheduler, the
+    // workers of the slice run that have no task of their own take them.
+    if (sched != nullptr) {
+      sched->parallel_for(n_sub, [&](int, uint64_t s) { run_subtask(s); });
     } else {
       for (uint64_t s = 0; s < n_sub; ++s) run_subtask(s);
     }
@@ -263,7 +265,7 @@ struct WindowExec {
 }  // namespace
 
 Tensor execute_fused(const FusedPlan& plan, const LeafProvider& leaves, uint64_t assignment,
-                     ThreadPool* pool, FusedStats* stats, Precision prec) {
+                     runtime::SliceScheduler* sched, FusedStats* stats, Precision prec) {
   const tn::Stem& stem = *plan.stem;
   const tn::ContractionTree& tree = *stem.tree;
 
@@ -271,13 +273,13 @@ Tensor execute_fused(const FusedPlan& plan, const LeafProvider& leaves, uint64_t
   // window runs: a task holds one window's branches at a time.
   ExecStats branch_stats;
   auto subtree = [&](int node) {
-    return execute_subtree(tree, node, leaves, plan.process_sliced, assignment, pool,
+    return execute_subtree(tree, node, leaves, plan.process_sliced, assignment, sched,
                            &branch_stats, prec);
   };
   Tensor cur = subtree(stem.nodes[0]);
   std::vector<Tensor> branches(size_t(stem.length() - 1));
 
-  WindowExec we{plan, pool, stats, prec};
+  WindowExec we{plan, sched, stats, prec};
   for (const auto& win : plan.windows) {
     for (int k = win.begin_step; k < win.end_step; ++k)
       branches[size_t(k)] = subtree(stem.branches[size_t(k)]);
@@ -288,7 +290,7 @@ Tensor execute_fused(const FusedPlan& plan, const LeafProvider& leaves, uint64_t
       ContractStats cs;
       const Tensor& b = branches[size_t(win.begin_step)];
       Tensor next =
-          contract(cur, b, pool, &cs, prec, stats ? &stats->exec.device : nullptr);
+          contract(cur, b, sched, &cs, prec, stats ? &stats->exec.device : nullptr);
       if (stats) {
         stats->exec.add(cs);
         stats->dma.record_get(double(cur.size() + b.size()) * kBytesPerElem, 512.0);
@@ -305,21 +307,21 @@ Tensor execute_fused(const FusedPlan& plan, const LeafProvider& leaves, uint64_t
 
 Tensor execute_stem_stepwise(const tn::Stem& stem, const LeafProvider& leaves,
                              const std::vector<int>& process_sliced, uint64_t assignment,
-                             ThreadPool* pool, FusedStats* stats, Precision prec) {
+                             runtime::SliceScheduler* sched, FusedStats* stats, Precision prec) {
   const tn::ContractionTree& tree = *stem.tree;
   ExecStats branch_stats;
   std::vector<Tensor> branches(size_t(stem.length() - 1));
   for (int k = 0; k + 1 < stem.length(); ++k)
     branches[size_t(k)] = execute_subtree(tree, stem.branches[size_t(k)], leaves, process_sliced,
-                                          assignment, pool, &branch_stats, prec);
-  Tensor cur = execute_subtree(tree, stem.nodes[0], leaves, process_sliced, assignment, pool,
+                                          assignment, sched, &branch_stats, prec);
+  Tensor cur = execute_subtree(tree, stem.nodes[0], leaves, process_sliced, assignment, sched,
                                &branch_stats, prec);
   if (stats) stats->exec.merge(branch_stats);
 
   for (int k = 0; k + 1 < stem.length(); ++k) {
     const Tensor& b = branches[size_t(k)];
     ContractStats cs;
-    Tensor next = contract(cur, b, pool, &cs, prec, stats ? &stats->exec.device : nullptr);
+    Tensor next = contract(cur, b, sched, &cs, prec, stats ? &stats->exec.device : nullptr);
     if (stats) {
       stats->exec.add(cs);
       // Every step round-trips the operands and result through main memory.

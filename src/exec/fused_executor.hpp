@@ -84,17 +84,20 @@ struct FusedStats {
 // pre-contracted with the step-by-step executor just before their window
 // runs (their cost is counted into `stats->exec` as the paper counts branch
 // pre-conditioning), and a window permutes each branch into its GEMM layout
-// once, not once per secondary subtask. `prec` is the GEMM operand
-// precision of every contraction.
+// once, not once per secondary subtask. With `sched`, a window's secondary
+// subtasks (and main-memory GEMM row panels) go through its parallel_for,
+// so the slice run's idle workers share them; each subtask writes its own
+// output block, so the bits do not depend on who runs it. `prec` is the
+// GEMM operand precision of every contraction.
 Tensor execute_fused(const FusedPlan& plan, const LeafProvider& leaves, uint64_t assignment,
-                     ThreadPool* pool = nullptr, FusedStats* stats = nullptr,
+                     runtime::SliceScheduler* sched = nullptr, FusedStats* stats = nullptr,
                      Precision prec = Precision::kFp32);
 
 // Step-by-step stem execution (the Fig. 12 baseline): identical work, but
 // every step is a full TTGT against main memory.
 Tensor execute_stem_stepwise(const tn::Stem& stem, const LeafProvider& leaves,
                              const std::vector<int>& process_sliced, uint64_t assignment,
-                             ThreadPool* pool = nullptr, FusedStats* stats = nullptr,
+                             runtime::SliceScheduler* sched = nullptr, FusedStats* stats = nullptr,
                              Precision prec = Precision::kFp32);
 
 }  // namespace ltns::exec

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <vector>
 
+#include "runtime/slice_scheduler.hpp"
+
 namespace ltns::exec {
 
 void cgemm_naive(int m, int n, int k, const cfloat* a, const cfloat* b, cfloat* c) {
@@ -76,21 +78,28 @@ void cgemm_rows(int m0, int m1, int n, int k, const cfloat* a, const cfloat* b, 
 
 }  // namespace
 
-void cgemm(int m, int n, int k, const cfloat* a, const cfloat* b, cfloat* c, ThreadPool* pool) {
+void for_row_panels(runtime::SliceScheduler* sched, int m, int n, int k,
+                    const std::function<void(int, int, int)>& rows) {
+  const uint64_t panels = sched != nullptr ? uint64_t(std::min(sched->size(), m)) : 1;
+  if (panels <= 1 || double(m) * n * k <= 1 << 16) {
+    rows(0, 0, m);
+    return;
+  }
+  const uint64_t per = uint64_t(m) / panels, rem = uint64_t(m) % panels;
+  sched->parallel_for(panels, [&](int w, uint64_t p) {
+    const uint64_t b0 = p * per + std::min(p, rem);
+    rows(w, int(b0), int(b0 + per + (p < rem ? 1 : 0)));
+  });
+}
+
+void cgemm(int m, int n, int k, const cfloat* a, const cfloat* b, cfloat* c,
+           runtime::SliceScheduler* sched) {
   if (m == 0 || n == 0) return;
   if (k == 0) {
     std::fill_n(c, size_t(m) * n, cfloat{});
     return;
   }
-  // Parallelize across row panels only when the work amortizes the fork.
-  const double work = double(m) * n * k;
-  if (pool != nullptr && pool->size() > 1 && work > 1 << 16) {
-    pool->parallel_for(size_t(m), [&](int, size_t b0, size_t e0) {
-      cgemm_rows(int(b0), int(e0), n, k, a, b, c);
-    });
-  } else {
-    cgemm_rows(0, m, n, k, a, b, c);
-  }
+  for_row_panels(sched, m, n, k, [&](int, int m0, int m1) { cgemm_rows(m0, m1, n, k, a, b, c); });
 }
 
 }  // namespace ltns::exec

@@ -43,15 +43,11 @@ int workers_for(const ShardRunOptions& opt) {
   // the merged timeline renders one lane per shard.
   if (obs::Tracer::instance().enabled()) obs::Tracer::instance().reset_after_fork(shard_id);
   try {
-    // Fresh executor resources: threads do not survive fork, so the
-    // parent's (global) pools are unusable husks in this process.
-    const int workers = workers_for(opt);
-    ThreadPool pool(workers);
-    runtime::SliceScheduler sched(workers);
+    // A fresh scheduler: threads do not survive fork, so the parent's
+    // (global) scheduler is an unusable husk in this process.
+    runtime::SliceScheduler sched(workers_for(opt));
     dist::ShardStreamOptions so;
-    so.executor = opt.executor;
     so.grain = opt.grain;
-    so.pool = &pool;
     so.scheduler = &sched;
     so.fused = opt.fused;
     so.precision = opt.precision;

@@ -33,11 +33,10 @@ namespace ltns::exec {
 
 struct ShardRunOptions {
   int processes = 2;
-  // Scheduler/pool width inside each worker process; 0 divides the host's
+  // Scheduler width inside each worker process; 0 divides the host's
   // hardware concurrency evenly across processes (at least 1).
   int workers_per_process = 0;
-  SliceExecutor executor = SliceExecutor::kWorkStealing;
-  uint64_t grain = 1;          // tasks per deque pop under work stealing
+  uint64_t grain = 1;          // tasks per deque pop
   const FusedPlan* fused = nullptr;
   // Elastic mode: instead of one fixed window per process, workers lease
   // bounded task ranges from a coordinator-owned queue (dist/elastic.hpp);

@@ -10,6 +10,7 @@
 #include <cstring>
 
 #include "exec/gemm.hpp"
+#include "runtime/slice_scheduler.hpp"
 #include "util/aligned_alloc.hpp"
 #include "util/timer.hpp"
 
@@ -431,43 +432,37 @@ bool parse_precision(const std::string& name, Precision* out) {
 }
 
 void cgemm_simd(IsaTier tier, Precision prec, int m, int n, int k, const cfloat* a,
-                const cfloat* b, cfloat* c, ThreadPool* pool, SimdPackStats* pack) {
+                const cfloat* b, cfloat* c, runtime::SliceScheduler* sched, SimdPackStats* pack) {
   if (m == 0 || n == 0) return;
   if (k == 0) {
     std::fill_n(c, size_t(m) * n, cfloat{});
     return;
   }
   const TierKernels tk = tier_kernels(tier);
-  // Same parallel split and threshold as exec::cgemm; every element's chain
-  // is row-local, so the chunking is bitwise-free either way.
-  const double work = double(m) * n * k;
-  const bool parallel = pool != nullptr && pool->size() > 1 && work > 1 << 16;
   if (tk.micro4 == nullptr) {  // portable (or a tier not compiled for this arch)
     if (prec == Precision::kFp32) {
-      cgemm(m, n, k, a, b, c, pool);
-    } else if (parallel) {
-      pool->parallel_for(size_t(m), [&](int, size_t b0, size_t e0) {
-        mixed_rows_portable(int(b0), int(e0), n, k, a, b, c);
-      });
+      cgemm(m, n, k, a, b, c, sched);
     } else {
-      mixed_rows_portable(0, m, n, k, a, b, c);
+      for_row_panels(sched, m, n, k,
+                     [&](int, int m0, int m1) { mixed_rows_portable(m0, m1, n, k, a, b, c); });
     }
     return;
   }
-  if (parallel) {
-    std::vector<SimdPackStats> acc(size_t(pool->size()));
-    pool->parallel_for(size_t(m), [&](int w, size_t b0, size_t e0) {
-      simd_rows(tk, prec, int(b0), int(e0), n, k, a, b, c, &acc[size_t(w)]);
-    });
-    if (pack != nullptr)
-      for (const auto& x : acc) {
-        pack->bytes += x.bytes;
-        pack->ns += x.ns;
-        pack->packs += x.packs;
-      }
-  } else {
+  if (sched == nullptr) {
     simd_rows(tk, prec, 0, m, n, k, a, b, c, pack);
+    return;
   }
+  // One packing tally per worker: a worker runs one panel at a time.
+  std::vector<SimdPackStats> acc(size_t(sched->size()));
+  for_row_panels(sched, m, n, k, [&](int w, int m0, int m1) {
+    simd_rows(tk, prec, m0, m1, n, k, a, b, c, &acc[size_t(w)]);
+  });
+  if (pack != nullptr)
+    for (const auto& x : acc) {
+      pack->bytes += x.bytes;
+      pack->ns += x.ns;
+      pack->packs += x.packs;
+    }
 }
 
 void permute_apply_simd(IsaTier tier, const PermuteMap& map, const cfloat* in, cfloat* out) {

@@ -33,9 +33,9 @@
 #include <string>
 #include <vector>
 
+#include "exec/gemm.hpp"
 #include "exec/permute.hpp"
 #include "exec/tensor.hpp"
-#include "util/parallel.hpp"
 
 namespace ltns::exec {
 
@@ -80,11 +80,11 @@ struct SimdPackStats {
 };
 
 // C = A · B, row-major, C overwritten — exec::cgemm's shape and, for
-// Precision::kFp32, exec::cgemm's bits. `pool` parallelizes over row panels
-// with the reference kernel's exact threshold and chunking. `pack`
-// (optional) accumulates B-panel packing traffic across workers.
+// Precision::kFp32, exec::cgemm's bits. `sched` splits the rows into panels
+// through for_row_panels, as the reference kernel does. `pack` (optional)
+// accumulates B-panel packing traffic across workers.
 void cgemm_simd(IsaTier tier, Precision prec, int m, int n, int k, const cfloat* a,
-                const cfloat* b, cfloat* c, ThreadPool* pool = nullptr,
+                const cfloat* b, cfloat* c, runtime::SliceScheduler* sched = nullptr,
                 SimdPackStats* pack = nullptr);
 
 // Vectorized PermuteMap application, one pass per row of the factored map:

@@ -33,25 +33,16 @@ SliceRunResult run_sliced(const tn::ContractionTree& tree, const LeafProvider& l
   const uint64_t first = std::min(opt.first_task, all);
   const uint64_t count = opt.num_tasks == 0 ? all - first : std::min(opt.num_tasks, all - first);
 
-  ThreadPool* pool = opt.pool != nullptr ? opt.pool : &ThreadPool::global();
   runtime::SliceScheduler* sched =
       opt.scheduler != nullptr ? opt.scheduler : &runtime::SliceScheduler::global();
 
-  // Run-local telemetry sink for every executor; under work stealing the
-  // scheduler routes its counters here, so concurrent runs sharing a
-  // scheduler never mix their numbers.
+  // Run-local telemetry sink: the scheduler routes its counters here, so
+  // concurrent runs sharing a scheduler never mix their numbers.
   runtime::ExecutorStats xstats;
 
-  const int n_workers = opt.executor == SliceExecutor::kWorkStealing ? sched->size()
-                        : opt.executor == SliceExecutor::kStaticPool ? pool->size()
-                                                                     : 1;
   std::vector<WorkerPartial> partial;
-  partial.resize(size_t(n_workers));
+  partial.resize(size_t(sched->size()));
   runtime::ReductionTree reduction(first, count, &xstats.reduce);
-
-  // Inner-pool mode keeps the ThreadPool busy *inside* each subtask; the
-  // task-distributing executors run each subtask single-threaded instead.
-  ThreadPool* inner = opt.executor == SliceExecutor::kInnerPool ? pool : nullptr;
 
   auto run_task = [&](int worker, uint64_t t) {
     obs::TraceScope tr(obs::EventKind::kSlice, t);
@@ -59,7 +50,7 @@ SliceRunResult run_sliced(const tn::ContractionTree& tree, const LeafProvider& l
     Tensor r;
     if (opt.fused != nullptr) {
       FusedStats fs;
-      r = execute_fused(*opt.fused, leaves, t, inner, &fs, opt.precision);
+      r = execute_fused(*opt.fused, leaves, t, sched, &fs, opt.precision);
       mine.exec.merge(fs.exec);
       mine.memory.scratch_bytes_get += fs.dma.bytes_get;
       mine.memory.scratch_bytes_put += fs.dma.bytes_put;
@@ -74,7 +65,7 @@ SliceRunResult run_sliced(const tn::ContractionTree& tree, const LeafProvider& l
       xstats.memory.add(fs.exec.memory_seconds);
     } else {
       ExecStats es;
-      r = execute_tree(tree, leaves, sliced, t, inner, &es, opt.precision);
+      r = execute_tree(tree, leaves, sliced, t, sched, &es, opt.precision);
       mine.exec.merge(es);
       mine.memory.main_bytes += es.bytes_main;
       mine.memory.host_peak_elems = std::max(mine.memory.host_peak_elems, es.peak_live_elems);
@@ -87,43 +78,8 @@ SliceRunResult run_sliced(const tn::ContractionTree& tree, const LeafProvider& l
 
   SliceRunResult res;
   Timer wall;
-  switch (opt.executor) {
-    case SliceExecutor::kInnerPool: {
-      xstats.scheduled_delta(count);
-      for (uint64_t t = first; t < first + count; ++t) {
-        run_task(0, t);
-        xstats.finished_delta(1);
-      }
-      res.tasks_run = count;
-      break;
-    }
-    case SliceExecutor::kStaticPool: {
-      xstats.scheduled_delta(count);
-      std::vector<double> busy_s(size_t(n_workers), 0.0);
-      Timer span;
-      pool->parallel_for(count, [&](int w, size_t b, size_t e) {
-        Timer busy;
-        for (size_t i = b; i < e; ++i) {
-          run_task(w, first + i);
-          xstats.finished_delta(1);
-        }
-        busy_s[size_t(w)] = busy.seconds();
-      });
-      // One utilization sample per worker: chunk busy time over the span of
-      // the whole static phase (idle = waiting for the slowest chunk).
-      const double span_s = span.seconds();
-      for (double b : busy_s) xstats.update_ema_utilization(b, span_s);
-      res.tasks_run = count;
-      break;
-    }
-    case SliceExecutor::kWorkStealing: {
-      res.tasks_run = sched->run(first, count, run_task, opt.grain, &xstats);
-      break;
-    }
-  }
+  res.tasks_run = sched->run(first, count, run_task, opt.grain, &xstats);
   res.wall_seconds = wall.seconds();
-  if (opt.executor == SliceExecutor::kInnerPool)
-    xstats.update_ema_utilization(res.wall_seconds, res.wall_seconds);
 
   for (const auto& p : partial) {
     res.stats.merge(p.exec);

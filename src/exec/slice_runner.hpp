@@ -6,19 +6,15 @@
 // open output edges the per-subtask results are elementwise-added tensors
 // (a batch of correlated amplitudes).
 //
-// Three executors distribute the subtasks:
-//   kInnerPool     — subtasks run serially; the ThreadPool parallelizes the
-//                    secondary-slicing subtasks *inside* each one (the CPE
-//                    view of a single core group).
-//   kStaticPool    — subtasks statically partitioned across the ThreadPool,
-//                    one contiguous chunk per worker (the seed behaviour of
-//                    a multi-node shard; no rebalancing).
-//   kWorkStealing  — the runtime::SliceScheduler: same initial shards, but
-//                    idle workers steal half a loaded worker's backlog, so
-//                    skewed per-subtask costs no longer serialize the run.
-// All three accumulate through runtime::ReductionTree, a fixed tournament
-// over task indices, so the summed tensor is bitwise identical across
-// executors and worker counts.
+// The runtime::SliceScheduler distributes the subtasks: each worker's deque
+// is seeded with a static partition's shard, and idle workers steal half a
+// loaded worker's backlog, so skewed per-subtask costs do not serialize
+// the run. The same workers run the fork-join inside a subtask (a fused
+// window's secondary subtasks, main-memory GEMM row panels) whenever they
+// have no task of their own, so a run with fewer tasks than workers still
+// keeps them busy. Results accumulate through runtime::ReductionTree, a
+// fixed tournament over task indices, so the summed tensor is bitwise
+// identical across worker counts and steal patterns.
 #pragma once
 
 #include <cstdint>
@@ -31,12 +27,6 @@
 
 namespace ltns::exec {
 
-enum class SliceExecutor {
-  kInnerPool,
-  kStaticPool,
-  kWorkStealing,
-};
-
 struct SliceRunOptions {
   // Run only assignments [first_task, first_task + num_tasks); num_tasks = 0
   // means everything from first_task to 2^|S|. Benches and multi-process
@@ -46,13 +36,11 @@ struct SliceRunOptions {
   // tensor) and an overflowing num_tasks runs only the remaining range.
   uint64_t first_task = 0;
   uint64_t num_tasks = 0;
-  ThreadPool* pool = nullptr;  // kInnerPool / kStaticPool; null -> global
   // When set, each subtask runs through the fused (secondary-slicing)
   // executor over the stem instead of step-by-step.
   const FusedPlan* fused = nullptr;
-  SliceExecutor executor = SliceExecutor::kInnerPool;
-  runtime::SliceScheduler* scheduler = nullptr;  // kWorkStealing; null -> global
-  uint64_t grain = 1;  // tasks per deque pop under work stealing
+  runtime::SliceScheduler* scheduler = nullptr;  // null -> global
+  uint64_t grain = 1;  // tasks per deque pop
   // GEMM operand precision of every contraction (exec/simd_kernels.hpp).
   Precision precision = Precision::kFp32;
 };

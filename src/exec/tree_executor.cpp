@@ -31,7 +31,7 @@ struct Runner {
   const LeafProvider& leaves;
   const std::vector<int>& sliced;
   uint64_t assignment;
-  ThreadPool* pool;
+  runtime::SliceScheduler* sched;
   ExecStats* stats;
   Precision prec;
 
@@ -66,7 +66,7 @@ struct Runner {
         Tensor& a = value[size_t(n.left)];
         Tensor& b = value[size_t(n.right)];
         ContractStats cs;
-        Tensor out = contract(a, b, pool, &cs, prec, stats ? &stats->device : nullptr);
+        Tensor out = contract(a, b, sched, &cs, prec, stats ? &stats->device : nullptr);
         if (stats) {
           stats->add(cs);
           // Step-by-step traffic: read both operands, write the result,
@@ -91,16 +91,16 @@ struct Runner {
 }  // namespace
 
 Tensor execute_tree(const tn::ContractionTree& tree, const LeafProvider& leaves,
-                    const std::vector<int>& sliced_edges, uint64_t assignment, ThreadPool* pool,
+                    const std::vector<int>& sliced_edges, uint64_t assignment, runtime::SliceScheduler* sched,
                     ExecStats* stats, Precision prec) {
-  Runner r{tree, leaves, sliced_edges, assignment, pool, stats, prec, {}, 0};
+  Runner r{tree, leaves, sliced_edges, assignment, sched, stats, prec, {}, 0};
   return r.run(tree.root());
 }
 
 Tensor execute_subtree(const tn::ContractionTree& tree, int node, const LeafProvider& leaves,
                        const std::vector<int>& sliced_edges, uint64_t assignment,
-                       ThreadPool* pool, ExecStats* stats, Precision prec) {
-  Runner r{tree, leaves, sliced_edges, assignment, pool, stats, prec, {}, 0};
+                       runtime::SliceScheduler* sched, ExecStats* stats, Precision prec) {
+  Runner r{tree, leaves, sliced_edges, assignment, sched, stats, prec, {}, 0};
   return r.run(node);
 }
 

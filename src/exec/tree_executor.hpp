@@ -44,14 +44,14 @@ using LeafProvider = std::function<const Tensor&(tn::VertId)>;
 // GEMM operand precision of every contraction.
 Tensor execute_tree(const tn::ContractionTree& tree, const LeafProvider& leaves,
                     const std::vector<int>& sliced_edges, uint64_t assignment,
-                    ThreadPool* pool = nullptr, ExecStats* stats = nullptr,
+                    runtime::SliceScheduler* sched = nullptr, ExecStats* stats = nullptr,
                     Precision prec = Precision::kFp32);
 
 // Executes only the subtree rooted at `node` (used to pre-contract branches
 // for the fused executor).
 Tensor execute_subtree(const tn::ContractionTree& tree, int node, const LeafProvider& leaves,
                        const std::vector<int>& sliced_edges, uint64_t assignment,
-                       ThreadPool* pool = nullptr, ExecStats* stats = nullptr,
+                       runtime::SliceScheduler* sched = nullptr, ExecStats* stats = nullptr,
                        Precision prec = Precision::kFp32);
 
 }  // namespace ltns::exec

@@ -310,13 +310,14 @@ TEST(SimulatorCache, WarmRunIsBitwiseIdenticalAndSkipsPlanning) {
     EXPECT_EQ(sim.cache_stats().result.disk_hits, 1u);
   }
 
-  // Plan tier alone (result cache off), different executor: the plan hit
+  // Plan tier alone (result cache off), 1-worker scheduler: the plan hit
   // skips src/path/, the re-executed contraction still matches bitwise —
   // the determinism contract the cache leans on.
   {
     api::SimulatorOptions plan_only = opt;
     plan_only.cache.result_cache_entries = 0;
-    plan_only.executor = exec::SliceExecutor::kStaticPool;
+    runtime::SliceScheduler one(1);
+    plan_only.scheduler = &one;
     api::Simulator sim(c, plan_only);
     const uint64_t invocations_before = path::find_path_invocations();
     auto res = sim.amplitude(bits);

@@ -3,7 +3,7 @@
 //   1. exec::contract, at whatever tier device::cpu_probe() selects, is
 //      BITWISE identical to the reference composition — exec::permute +
 //      exec::cgemm at fp32, the portable bf16 chain at bf16 — for fuzzed
-//      tensor pairs and every thread-pool width;
+//      tensor pairs and every scheduler width;
 //   2. the fused stem windows and the step-by-step tree executor are
 //      bitwise identical to the same work composed from reference
 //      contractions, at fp32 and bf16;
@@ -12,8 +12,7 @@
 //      that the executors really reach the vector kernels (a regression to
 //      the scalar path fails it);
 //   4. DeviceStats rides ExecStats/ExecutorSnapshot through run_sliced, and
-//      the accumulated tensor is bitwise identical across executors and
-//      worker counts.
+//      the accumulated tensor is bitwise identical across worker counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -116,7 +115,7 @@ TEST(KernelPath, ContractMatchesReferenceBitwise) {
   }
 }
 
-TEST(KernelPath, ContractBitwiseAcrossPoolWidths) {
+TEST(KernelPath, ContractBitwiseAcrossSchedulerWidths) {
   // m = 2^10, k = 2^3, n = 2^4: past the GEMM's parallel threshold.
   Rng rng(77);
   std::vector<int> ia{0, 1, 2}, ib{0, 1, 2};
@@ -127,8 +126,10 @@ TEST(KernelPath, ContractBitwiseAcrossPoolWidths) {
   for (Precision prec : kPrecisions) {
     const Tensor want = reference_contract(a, b, prec);
     for (int workers : {1, 2, 3, 5}) {
-      ThreadPool pool(workers);
-      EXPECT_TRUE(bitwise_equal(want, exec::contract(a, b, &pool, nullptr, prec)))
+      runtime::SliceScheduler sched(workers);
+      Tensor got;
+      test::in_one_task(sched, [&] { got = exec::contract(a, b, &sched, nullptr, prec); });
+      EXPECT_TRUE(bitwise_equal(want, got))
           << exec::precision_name(prec) << " workers=" << workers;
     }
   }
@@ -220,7 +221,7 @@ TEST(KernelPath, FusedStemWindowsMatchReferenceBitwise) {
   const auto sliced = f.slices.to_vector();
   const auto plan = exec::plan_fused(stem, sliced, 1 << 12);
   ASSERT_GT(plan.fused_steps(), 0);
-  ThreadPool pool(3);
+  runtime::SliceScheduler sched(3);
   for (Precision prec : kPrecisions) {
     for (uint64_t task : {uint64_t(0), (uint64_t(1) << sliced.size()) - 1}) {
       auto walk = [&](int node) {
@@ -235,7 +236,9 @@ TEST(KernelPath, FusedStemWindowsMatchReferenceBitwise) {
                           : reference_contract(want, branches[0], prec);
       }
       exec::FusedStats fs;
-      const Tensor got = exec::execute_fused(plan, f.leaves(), task, &pool, &fs, prec);
+      Tensor got;
+      test::in_one_task(
+          sched, [&] { got = exec::execute_fused(plan, f.leaves(), task, &sched, &fs, prec); });
       EXPECT_TRUE(bitwise_equal(want, got)) << exec::precision_name(prec) << " task " << task;
       EXPECT_GT(fs.exec.device.stem_steps, 0u);
       EXPECT_GT(fs.exec.device.gemm_calls, fs.exec.device.stem_steps);  // + branch pre-contraction
@@ -301,10 +304,15 @@ TEST(KernelPath, FusedWindowPermutesEachBranchOncePerTask) {
 
     exec::FusedStats ss;
     const Tensor want = exec::execute_stem_stepwise(stem, f.leaves(), sliced, task, nullptr, &ss);
-    ThreadPool pool(3);
-    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    runtime::SliceScheduler sched(3);
+    for (bool shared : {false, true}) {
       exec::FusedStats fs;
-      const Tensor got = exec::execute_fused(plan, f.leaves(), task, p, &fs);
+      Tensor got;
+      if (shared)
+        test::in_one_task(sched,
+                          [&] { got = exec::execute_fused(plan, f.leaves(), task, &sched, &fs); });
+      else
+        got = exec::execute_fused(plan, f.leaves(), task, nullptr, &fs);
       EXPECT_TRUE(bitwise_equal(want, exec::permute(got, want.ixs())));
       EXPECT_EQ(fs.exec.device.permute_calls,
                 pre.device.permute_calls + n_sub * stem_side + branch_side)
@@ -315,32 +323,30 @@ TEST(KernelPath, FusedWindowPermutesEachBranchOncePerTask) {
   EXPECT_TRUE(tested) << "no stem prefix has a secondary-sliced window with a branch permute";
 }
 
-// --- whole sliced runs: every executor and worker count, bitwise ----------
+// --- whole sliced runs: every worker count, bitwise -----------------------
 
-TEST(RunSliced, BitwiseIdenticalAcrossExecutorsAndWorkers) {
+TEST(RunSliced, BitwiseIdenticalAcrossWorkers) {
   auto f = make_fixture();
   ASSERT_GE(f.slices.size(), 2);
   for (Precision prec : kPrecisions) {
-    ThreadPool pool1(1);
-    exec::SliceRunOptions base;
-    base.executor = exec::SliceExecutor::kInnerPool;
-    base.pool = &pool1;
-    base.precision = prec;
-    auto ref = exec::run_sliced(*f.tree, f.leaves(), f.slices, base);
-    ASSERT_TRUE(ref.completed);
-    for (auto ex : {exec::SliceExecutor::kInnerPool, exec::SliceExecutor::kStaticPool,
-                    exec::SliceExecutor::kWorkStealing}) {
-      for (int workers : {1, 3}) {
-        ThreadPool pool(workers);
+    // The whole range, and a 1-task window whose GEMM row panels the idle
+    // workers share: each bitwise equal to its 1-worker run.
+    for (uint64_t tasks : {uint64_t(0), uint64_t(1)}) {
+      runtime::SliceScheduler one(1);
+      exec::SliceRunOptions base;
+      base.scheduler = &one;
+      base.precision = prec;
+      base.num_tasks = tasks;
+      auto ref = exec::run_sliced(*f.tree, f.leaves(), f.slices, base);
+      ASSERT_TRUE(ref.completed);
+      for (int workers : {2, 3}) {
         runtime::SliceScheduler sched(workers);
         exec::SliceRunOptions ro = base;
-        ro.executor = ex;
-        ro.pool = &pool;
         ro.scheduler = &sched;
         auto r = exec::run_sliced(*f.tree, f.leaves(), f.slices, ro);
         ASSERT_TRUE(r.completed);
         EXPECT_TRUE(bitwise_equal(ref.accumulated, r.accumulated))
-            << exec::precision_name(prec) << " executor=" << int(ex) << " workers=" << workers;
+            << exec::precision_name(prec) << " tasks=" << tasks << " workers=" << workers;
         // DeviceStats rides the run's ExecStats and its ExecutorSnapshot.
         EXPECT_GT(r.stats.device.gemm_calls, 0u);
         EXPECT_EQ(r.executor_stats.device.gemm_calls, r.stats.device.gemm_calls);
@@ -356,10 +362,9 @@ TEST(RunSliced, FusedPathBitwiseIdenticalAcrossWorkers) {
   for (Precision prec : kPrecisions) {
     exec::Tensor ref;
     for (int workers : {1, 2}) {
-      ThreadPool pool(workers);
+      runtime::SliceScheduler sched(workers);
       exec::SliceRunOptions ro;
-      ro.executor = exec::SliceExecutor::kInnerPool;
-      ro.pool = &pool;
+      ro.scheduler = &sched;
       ro.fused = &plan;
       ro.precision = prec;
       auto r = exec::run_sliced(*f.tree, f.leaves(), f.slices, ro);

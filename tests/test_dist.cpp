@@ -939,9 +939,8 @@ TEST(RunSharded, BitwiseIdenticalToRunSlicedForAnyProcessCount) {
   const uint64_t all = uint64_t(1) << f.slices.size();
 
   exec::SliceRunOptions serial;
-  serial.executor = exec::SliceExecutor::kInnerPool;
-  ThreadPool pool1(1);
-  serial.pool = &pool1;
+  runtime::SliceScheduler one(1);
+  serial.scheduler = &one;
   auto ref = exec::run_sliced(*f.tree, f.leaves(), f.slices, serial);
   ASSERT_TRUE(ref.completed);
 
@@ -974,9 +973,8 @@ TEST(RunSharded, FusedAndMultiWorkerStayBitwiseStable) {
   auto plan = exec::plan_fused(stem, f.slices.to_vector(), 1 << 12);
 
   exec::SliceRunOptions serial;
-  serial.executor = exec::SliceExecutor::kInnerPool;
-  ThreadPool pool1(1);
-  serial.pool = &pool1;
+  runtime::SliceScheduler one(1);
+  serial.scheduler = &one;
   serial.fused = &plan;
   auto ref = exec::run_sliced(*f.tree, f.leaves(), f.slices, serial);
 
@@ -995,9 +993,8 @@ TEST(RunSharded, MoreProcessesThanTasksStillExact) {
   const uint64_t all = uint64_t(1) << f.slices.size();
 
   exec::SliceRunOptions serial;
-  serial.executor = exec::SliceExecutor::kInnerPool;
-  ThreadPool pool1(1);
-  serial.pool = &pool1;
+  runtime::SliceScheduler one(1);
+  serial.scheduler = &one;
   auto ref = exec::run_sliced(*f.tree, f.leaves(), f.slices, serial);
 
   exec::ShardRunOptions so;
@@ -1041,9 +1038,8 @@ TEST(RunShardedElastic, BitwiseIdenticalToRunSlicedForAnyProcessCount) {
   const uint64_t all = uint64_t(1) << f.slices.size();
 
   exec::SliceRunOptions serial;
-  serial.executor = exec::SliceExecutor::kInnerPool;
-  ThreadPool pool1(1);
-  serial.pool = &pool1;
+  runtime::SliceScheduler one(1);
+  serial.scheduler = &one;
   auto ref = exec::run_sliced(*f.tree, f.leaves(), f.slices, serial);
   ASSERT_TRUE(ref.completed);
 
@@ -1077,9 +1073,8 @@ TEST(RunShardedElastic, BitwiseIdenticalToRunSlicedForAnyProcessCount) {
 TEST(RunShardedElastic, SigkilledWorkerIsRequeuedAndRunStaysBitwise) {
   auto f = make_sliced_fixture();
   exec::SliceRunOptions serial;
-  serial.executor = exec::SliceExecutor::kInnerPool;
-  ThreadPool pool1(1);
-  serial.pool = &pool1;
+  runtime::SliceScheduler one(1);
+  serial.scheduler = &one;
   auto ref = exec::run_sliced(*f.tree, f.leaves(), f.slices, serial);
 
   ScopedEnv kill("LTNS_CHAOS_KILL_SHARD", "1");
@@ -1109,9 +1104,8 @@ TEST(RunShardedElastic, SigkilledWorkerIsRequeuedAndRunStaysBitwise) {
 TEST(RunShardedElastic, StragglerIsStolenFromAndRunStaysBitwise) {
   auto f = make_sliced_fixture();
   exec::SliceRunOptions serial;
-  serial.executor = exec::SliceExecutor::kInnerPool;
-  ThreadPool pool1(1);
-  serial.pool = &pool1;
+  runtime::SliceScheduler one(1);
+  serial.scheduler = &one;
   auto ref = exec::run_sliced(*f.tree, f.leaves(), f.slices, serial);
 
   ScopedEnv slow_shard("LTNS_CHAOS_SLEEP_SHARD", "0");
@@ -1147,9 +1141,8 @@ TEST(RunShardedElastic, StragglerIsStolenFromAndRunStaysBitwise) {
 TEST(RunSharded, Bf16PrecisionReachesEveryWorkerBitwise) {
   auto f = make_sliced_fixture();
   exec::SliceRunOptions serial;
-  serial.executor = exec::SliceExecutor::kInnerPool;
-  ThreadPool pool1(1);
-  serial.pool = &pool1;
+  runtime::SliceScheduler one(1);
+  serial.scheduler = &one;
   auto fp32 = exec::run_sliced(*f.tree, f.leaves(), f.slices, serial);
   serial.precision = exec::Precision::kBf16;
   auto ref = exec::run_sliced(*f.tree, f.leaves(), f.slices, serial);
@@ -1170,9 +1163,8 @@ TEST(RunSharded, Bf16PrecisionReachesEveryWorkerBitwise) {
 TEST(RunShardedElastic, WorkerDeadAtStartupIsAbsorbed) {
   auto f = make_sliced_fixture();
   exec::SliceRunOptions serial;
-  serial.executor = exec::SliceExecutor::kInnerPool;
-  ThreadPool pool1(1);
-  serial.pool = &pool1;
+  runtime::SliceScheduler one(1);
+  serial.scheduler = &one;
   auto ref = exec::run_sliced(*f.tree, f.leaves(), f.slices, serial);
 
   exec::ShardRunOptions so;
@@ -1214,9 +1206,8 @@ TEST(RunShardedElastic, AllWorkersDeadSurfacesCleanError) {
 TEST(RunShardedElastic, CoordinatorSigkilledMidRunResumesBitwise) {
   auto f = make_sliced_fixture();
   exec::SliceRunOptions serial;
-  serial.executor = exec::SliceExecutor::kInnerPool;
-  ThreadPool pool1(1);
-  serial.pool = &pool1;
+  runtime::SliceScheduler one(1);
+  serial.scheduler = &one;
   auto ref = exec::run_sliced(*f.tree, f.leaves(), f.slices, serial);
   ASSERT_TRUE(ref.completed);
 

@@ -63,8 +63,8 @@ TEST(DynamicSlicer, NoWorkWhenUnderBound) {
 // The portable bf16 mixed-precision chain (every vector tier matches it
 // bitwise; tests/test_kernels_parity.cpp).
 void cgemm_bf16(int m, int n, int k, const exec::cfloat* a, const exec::cfloat* b,
-                exec::cfloat* c, ThreadPool* pool = nullptr) {
-  exec::cgemm_simd(exec::IsaTier::kPortable, exec::Precision::kBf16, m, n, k, a, b, c, pool);
+                exec::cfloat* c, runtime::SliceScheduler* sched = nullptr) {
+  exec::cgemm_simd(exec::IsaTier::kPortable, exec::Precision::kBf16, m, n, k, a, b, c, sched);
 }
 
 TEST(MixedGemm, MatchesBf16RoundedReference) {
@@ -130,7 +130,7 @@ TEST(MixedGemm, DeterministicAcrossRepeatedRuns) {
 }
 
 TEST(MixedGemm, ParallelMatchesSerial) {
-  ThreadPool pool(3);
+  runtime::SliceScheduler sched(3);
   Rng rng(5);
   const int m = 64, n = 32, k = 48;
   std::vector<exec::cfloat> a(size_t(m) * k), b(size_t(k) * n), c1(size_t(m) * n),
@@ -138,7 +138,7 @@ TEST(MixedGemm, ParallelMatchesSerial) {
   for (auto& v : a) v = exec::cfloat(float(rng.next_normal()), float(rng.next_normal()));
   for (auto& v : b) v = exec::cfloat(float(rng.next_normal()), float(rng.next_normal()));
   cgemm_bf16(m, n, k, a.data(), b.data(), c1.data());
-  cgemm_bf16(m, n, k, a.data(), b.data(), c2.data(), &pool);
+  test::in_one_task(sched, [&] { cgemm_bf16(m, n, k, a.data(), b.data(), c2.data(), &sched); });
   for (size_t i = 0; i < c1.size(); ++i) EXPECT_EQ(c1[i], c2[i]);
 }
 

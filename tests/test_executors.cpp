@@ -167,9 +167,10 @@ TEST(FusedExecutor, MatchesStepwiseUnderProcessSlicing) {
 TEST(FusedExecutor, ParallelMatchesSerial) {
   auto f = make_fixture(3, 4, 6);
   auto plan = plan_fused(f.stem, {}, 1 << 10);
-  ThreadPool pool(4);
+  runtime::SliceScheduler sched(4);
   auto serial = execute_fused(plan, f.leaves(), 0, nullptr);
-  auto parallel = execute_fused(plan, f.leaves(), 0, &pool);
+  Tensor parallel;
+  test::in_one_task(sched, [&] { parallel = execute_fused(plan, f.leaves(), 0, &sched); });
   EXPECT_NEAR(std::abs(std::complex<double>(serial.data()[0]) -
                        std::complex<double>(parallel.data()[0])),
               0.0, 1e-4 * std::max(1.0, double(std::abs(serial.data()[0]))));

@@ -2,6 +2,7 @@
 
 #include "exec/contract.hpp"
 #include "exec/gemm.hpp"
+#include "test_helpers.hpp"
 #include "util/rng.hpp"
 
 namespace ltns::exec {
@@ -42,13 +43,13 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{100, 1, 100}));
 
 TEST(Gemm, ParallelMatchesSerial) {
-  ThreadPool pool(4);
+  runtime::SliceScheduler sched(4);
   const int m = 96, n = 40, k = 70;
   auto a = random_matrix(m, k, 3);
   auto b = random_matrix(k, n, 4);
   std::vector<cfloat> c1(size_t(m) * n), c2(size_t(m) * n);
   cgemm(m, n, k, a.data(), b.data(), c1.data(), nullptr);
-  cgemm(m, n, k, a.data(), b.data(), c2.data(), &pool);
+  test::in_one_task(sched, [&] { cgemm(m, n, k, a.data(), b.data(), c2.data(), &sched); });
   EXPECT_LT(max_diff(c1, c2), 1e-4);
 }
 

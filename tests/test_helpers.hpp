@@ -13,6 +13,7 @@
 #include "exec/simd_kernels.hpp"
 #include "exec/tensor.hpp"
 #include "path/greedy.hpp"
+#include "runtime/slice_scheduler.hpp"
 #include "tn/contraction_tree.hpp"
 #include "tn/stem.hpp"
 
@@ -20,6 +21,14 @@ namespace ltns::test {
 
 // The byte-comparison behind every bitwise-identity acceptance criterion:
 // identical index order, identical size, identical payload bits.
+// Runs fn() as the only task of a run on `sched`, so every parallel_for it
+// reaches (GEMM row panels, fused secondary subtasks) is shared with the
+// scheduler's idle workers — the in-run counterpart of calling it inline.
+template <typename F>
+void in_one_task(runtime::SliceScheduler& sched, F&& fn) {
+  sched.run(0, 1, [&](int, uint64_t) { fn(); });
+}
+
 inline bool bitwise_equal(const exec::Tensor& a, const exec::Tensor& b) {
   return a.ixs() == b.ixs() && a.size() == b.size() &&
          std::memcmp(a.raw(), b.raw(), a.size() * sizeof(exec::cfloat)) == 0;

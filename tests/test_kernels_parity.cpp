@@ -7,7 +7,7 @@
 //     register, K extents that straddle the panel width, degenerate
 //     extents, and deliberately misaligned operands.
 //   * bf16 mixed precision: deterministic (bitwise identical across tiers
-//     and pool widths), and its distance from the fp32 reference
+//     and scheduler widths), and its distance from the fp32 reference
 //     is pinned by a checked-in ULP-regression corpus. A pin mismatch in
 //     EITHER direction fails: growing error is a broken kernel, shrinking
 //     error is a changed numeric contract that must be re-pinned on purpose.
@@ -25,7 +25,6 @@
 #include "exec/simd_kernels.hpp"
 #include "exec/tensor.hpp"
 #include "test_helpers.hpp"
-#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/ulp.hpp"
 
@@ -144,7 +143,7 @@ TEST(KernelsParityFp32, MisalignedOperandsBitwise) {
   }
 }
 
-TEST(KernelsParityFp32, ParallelMatchesAcrossPoolWidths) {
+TEST(KernelsParityFp32, ParallelMatchesAcrossSchedulerWidths) {
   const int m = 120, n = 70, k = 300;
   auto a = random_buf(size_t(m) * k, 91);
   auto b = random_buf(size_t(k) * n, 92);
@@ -152,9 +151,11 @@ TEST(KernelsParityFp32, ParallelMatchesAcrossPoolWidths) {
   cgemm(m, n, k, a.data(), b.data(), want.data());
   for (IsaTier tier : vector_tiers()) {
     for (int workers : {1, 2, 3, 5}) {
-      ThreadPool pool(workers);
+      runtime::SliceScheduler sched(workers);
       AlignedCfloatVec got(size_t(m) * n);
-      cgemm_simd(tier, Precision::kFp32, m, n, k, a.data(), b.data(), got.data(), &pool);
+      test::in_one_task(sched, [&] {
+        cgemm_simd(tier, Precision::kFp32, m, n, k, a.data(), b.data(), got.data(), &sched);
+      });
       ASSERT_TRUE(same_bits(want.data(), got.data(), want.size()))
           << isa_name(tier) << " workers=" << workers;
     }
@@ -295,8 +296,10 @@ TEST(KernelsParityBf16, ParallelMatchesSerialEveryTier) {
   for (IsaTier tier : compiled_isa_tiers()) {
     AlignedCfloatVec serial(size_t(m) * n), par(size_t(m) * n);
     cgemm_simd(tier, Precision::kBf16, m, n, k, a.data(), b.data(), serial.data());
-    ThreadPool pool(4);
-    cgemm_simd(tier, Precision::kBf16, m, n, k, a.data(), b.data(), par.data(), &pool);
+    runtime::SliceScheduler sched(4);
+    test::in_one_task(sched, [&] {
+      cgemm_simd(tier, Precision::kBf16, m, n, k, a.data(), b.data(), par.data(), &sched);
+    });
     ASSERT_TRUE(same_bits(serial.data(), par.data(), serial.size())) << isa_name(tier);
   }
 }

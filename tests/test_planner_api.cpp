@@ -177,12 +177,12 @@ TEST(Simulator, TinyLdmStillCorrect) {
   EXPECT_NEAR(std::abs(res.amplitude - want), 0.0, 1e-4);
 }
 
-TEST(Simulator, ExplicitPoolIsUsed) {
-  ThreadPool pool(3);
+TEST(Simulator, ExplicitSchedulerIsUsed) {
+  runtime::SliceScheduler sched(3);
   auto c = test::small_rqc(3, 3, 6, 13);
   api::SimulatorOptions opt;
   opt.plan = fast_plan(8);
-  opt.pool = &pool;
+  opt.scheduler = &sched;
   api::Simulator sim(c, opt);
   auto res = sim.amplitude(test::zero_bits(c.num_qubits));
   auto want = sv::simulate_amplitude(c, test::zero_bits(c.num_qubits));

@@ -554,10 +554,12 @@ void expect_same_stream(const std::vector<QueryResult>& a, const std::vector<Que
     EXPECT_EQ(a[i].error, b[i].error);
     EXPECT_EQ(a[i].samples, b[i].samples);
     ASSERT_EQ(a[i].amplitudes.size(), b[i].amplitudes.size());
-    EXPECT_EQ(std::memcmp(a[i].amplitudes.data(), b[i].amplitudes.data(),
-                          a[i].amplitudes.size() * sizeof(cd)),
-              0)
-        << "query " << a[i].id;
+    if (!a[i].amplitudes.empty()) {  // memcmp must not see an empty vector's null data()
+      EXPECT_EQ(std::memcmp(a[i].amplitudes.data(), b[i].amplitudes.data(),
+                            a[i].amplitudes.size() * sizeof(cd)),
+                0)
+          << "query " << a[i].id;
+    }
     EXPECT_EQ(std::memcmp(&a[i].expectation, &b[i].expectation, sizeof(double)), 0);
   }
 }
@@ -683,6 +685,41 @@ TEST(Engine, SignatureAnsweredByCoveringBatchIsNeverPlanned) {
   EXPECT_EQ(st.plan_rebuilds, 0u);
   EXPECT_EQ(path::find_path_invocations() - paths_before, 1u);
   EXPECT_EQ(sim.cache_stats().plan.misses - misses_before, 1u);
+}
+
+TEST(Engine, SecondRunOnOneSimulatorPlansNothing) {
+  // More re-targeted groups than the plan LRU holds: rebuilt plans are not
+  // filed, so they cannot evict the plan they were rebuilt from.
+  const auto circ = test::small_rqc(3, 3, 4, 7);
+  const int n_amps = 40;
+  std::string text;
+  for (int v = 0; v < n_amps; ++v) {
+    text += "amp ";
+    for (int q = 0; q < circ.num_qubits; ++q) text += char('0' + ((v >> q) & 1));
+    text += "\n";
+  }
+  auto p = parse_queries(text, circ.num_qubits);
+  ASSERT_TRUE(p.ok()) << p.error;
+  auto opt = quiet_options();
+  opt.cache.result_cache_entries = 0;  // every run contracts (and plans) again
+  ASSERT_GT(size_t(n_amps - 1), opt.cache.plan_cache_entries);
+  api::Simulator sim(circ, opt);
+
+  std::vector<QueryResult> runs[2];
+  EngineStats stats[2];
+  for (int k = 0; k < 2; ++k)
+    stats[k] = Engine(sim, EngineOptions{}).run(p.queries, [&](const QueryResult& r) {
+      runs[k].push_back(r);
+    });
+  expect_same_stream(runs[0], runs[1]);
+  EXPECT_EQ(stats[0].planner_passes, 1u);
+  EXPECT_EQ(stats[0].plan_rebuilds, uint64_t(n_amps - 1));
+  EXPECT_EQ(stats[1].planner_passes, 0u);
+  EXPECT_EQ(stats[1].plan_cache_hits, 1u);
+  EXPECT_EQ(stats[1].plan_rebuilds, uint64_t(n_amps - 1));
+  const auto cs = sim.cache_stats().plan;
+  EXPECT_EQ(cs.evictions, 0u);
+  EXPECT_EQ(cs.insertions, 1u);
 }
 
 // --- v6 wire round-trips ---------------------------------------------------

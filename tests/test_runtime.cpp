@@ -1,7 +1,7 @@
 // Work-stealing slice runtime tests. The load-bearing invariants:
 //   1. the tournament reduction is bitwise deterministic: accumulated
-//      amplitudes are identical across executors, worker counts and
-//      completion orders;
+//      amplitudes are identical across worker counts, steal patterns,
+//      fork-join help and completion orders;
 //   2. the shard API (first_task/num_tasks) partitions losslessly: shard
 //      sums equal the full run;
 //   3. stats accounting is exact under contention and cancellation:
@@ -188,7 +188,122 @@ TEST(SliceScheduler, CancellationDrainsExactly) {
   EXPECT_EQ(sched.run(0, 4, [](int, uint64_t) {}), 4u);
 }
 
-// --- run_sliced integration over the three executors ---------------------
+// --- fork-join inside a task (parallel_for) --------------------------------
+
+TEST(SliceScheduler, ParallelForInOneTaskRunIsHelped) {
+  SliceScheduler sched(4);
+  const uint64_t n = 64;
+  std::vector<std::atomic<int>> hits(n);
+  for (auto& h : hits) h.store(0);
+  std::atomic<bool> other_ran{false};
+  const uint64_t helped_before = sched.helped();
+  auto begin = sched.stats().snapshot();
+  sched.run(0, 1, [&](int owner, uint64_t) {
+    std::atomic<bool> owner_waited{false};
+    sched.parallel_for(n, [&](int w, uint64_t i) {
+      hits[i].fetch_add(1);
+      if (w != owner) {
+        other_ran = true;
+      } else if (!owner_waited.exchange(true)) {
+        // Hold the owner on its first index: the remaining indices can then
+        // only progress through the idle workers.
+        auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (!other_ran && std::chrono::steady_clock::now() < deadline)
+          std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+    });
+  });
+  for (uint64_t i = 0; i < n; ++i) ASSERT_EQ(hits[i].load(), 1) << "index " << i;
+  EXPECT_TRUE(other_ran.load());
+  EXPECT_GT(sched.helped(), helped_before);
+  auto delta = sched.stats().snapshot().since(begin);
+  EXPECT_EQ(delta.finished, 1u);  // helped indices are not tasks
+  EXPECT_EQ(delta.running, 0);
+  EXPECT_EQ(delta.waiting, 0);
+}
+
+TEST(SliceScheduler, ConcurrentParallelForsFromManyTasks) {
+  SliceScheduler sched(4);
+  const uint64_t tasks = 24, n = 257;
+  std::vector<std::atomic<int>> hits(tasks * n);
+  for (auto& h : hits) h.store(0);
+  std::vector<uint64_t> sums(tasks, 0);
+  EXPECT_EQ(sched.run(0, tasks,
+                      [&](int, uint64_t t) {
+                        std::atomic<uint64_t> sum{0};
+                        sched.parallel_for(n, [&](int w, uint64_t i) {
+                          EXPECT_GE(w, 0);
+                          EXPECT_LT(w, sched.size());
+                          hits[t * n + i].fetch_add(1);
+                          sum.fetch_add(i);
+                          if (i % 64 == 0) std::this_thread::sleep_for(std::chrono::microseconds(200));
+                        });
+                        sums[t] = sum.load();  // every index is done on return
+                      }),
+            tasks);
+  for (uint64_t k = 0; k < tasks * n; ++k) ASSERT_EQ(hits[k].load(), 1) << "slot " << k;
+  for (uint64_t t = 0; t < tasks; ++t) EXPECT_EQ(sums[t], n * (n - 1) / 2) << "task " << t;
+}
+
+TEST(SliceScheduler, CancelWhileParallelForInFlight) {
+  SliceScheduler sched(4);
+  const uint64_t tasks = 64, n = 100;
+  std::vector<std::atomic<int>> hits(tasks * n);
+  for (auto& h : hits) h.store(0);
+  auto begin = sched.stats().snapshot();
+  const uint64_t executed = sched.run(0, tasks, [&](int, uint64_t t) {
+    sched.parallel_for(n, [&](int, uint64_t i) {
+      hits[t * n + i].fetch_add(1);
+      if (i == n / 2) sched.cancel();
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    });
+  });
+  auto delta = sched.stats().snapshot().since(begin);
+  EXPECT_LT(executed, tasks);
+  EXPECT_EQ(delta.finished, executed);
+  EXPECT_EQ(delta.finished + delta.cancelled, tasks);
+  // cancel() stops tasks, never a fork-join half way: a task that started
+  // ran every index once, a discarded one ran none.
+  uint64_t started = 0;
+  for (uint64_t t = 0; t < tasks; ++t) {
+    const int first = hits[t * n].load();
+    started += uint64_t(first);
+    for (uint64_t i = 0; i < n; ++i) ASSERT_EQ(hits[t * n + i].load(), first) << t << "/" << i;
+  }
+  EXPECT_EQ(started, executed);
+}
+
+TEST(SliceScheduler, ParallelForOutsideARunIsInline) {
+  SliceScheduler sched(4);
+  std::vector<uint64_t> order;
+  std::vector<int> ids;
+  const auto caller = std::this_thread::get_id();
+  bool same_thread = true;
+  sched.parallel_for(10, [&](int w, uint64_t i) {
+    order.push_back(i);
+    ids.push_back(w);
+    same_thread = same_thread && std::this_thread::get_id() == caller;
+  });
+  EXPECT_TRUE(same_thread);
+  EXPECT_EQ(order, (std::vector<uint64_t>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+  EXPECT_EQ(ids, std::vector<int>(10, 0));
+  sched.parallel_for(0, [&](int, uint64_t) { ADD_FAILURE() << "empty range ran"; });
+  EXPECT_EQ(sched.helped(), 0u);
+
+  // A task of another scheduler, and a 1-worker scheduler's own task, run
+  // the fork-join inline as well.
+  SliceScheduler one(1);
+  std::atomic<int> ran{0};
+  one.run(0, 2, [&](int, uint64_t) {
+    sched.parallel_for(8, [&](int w, uint64_t) { ran += w == 0 ? 1 : 100; });
+    one.parallel_for(8, [&](int w, uint64_t) { ran += w == 0 ? 1 : 100; });
+  });
+  EXPECT_EQ(ran.load(), 32);
+  EXPECT_EQ(sched.helped(), 0u);
+  EXPECT_EQ(one.helped(), 0u);
+}
+
+// --- run_sliced integration -------------------------------------------------
 
 struct SlicedFixture {
   circuit::LoweredNetwork ln;
@@ -211,28 +326,19 @@ SlicedFixture make_sliced_fixture(int min_slices = 3) {
 
 using test::bitwise_equal;
 
-TEST(RunSliced, BitStableAcrossExecutorsAndWorkerCounts) {
+TEST(RunSliced, BitStableAcrossWorkerCounts) {
   auto f = make_sliced_fixture();
   ASSERT_GE(f.slices.size(), 2);
 
+  SliceScheduler one(1);
   exec::SliceRunOptions serial;
-  serial.executor = exec::SliceExecutor::kInnerPool;
-  ThreadPool pool1(1);
-  serial.pool = &pool1;
+  serial.scheduler = &one;
   auto ref = run_sliced(*f.tree, f.leaves(), f.slices, serial);
   ASSERT_EQ(ref.tasks_run, uint64_t(1) << f.slices.size());
 
-  ThreadPool pool4(4);
-  exec::SliceRunOptions stat;
-  stat.executor = exec::SliceExecutor::kStaticPool;
-  stat.pool = &pool4;
-  auto rs = run_sliced(*f.tree, f.leaves(), f.slices, stat);
-  EXPECT_TRUE(bitwise_equal(ref.accumulated, rs.accumulated)) << "static-pool diverged";
-
-  for (int workers : {1, 2, 4}) {
+  for (int workers : {2, 3, 4}) {
     SliceScheduler sched(workers);
     exec::SliceRunOptions ws;
-    ws.executor = exec::SliceExecutor::kWorkStealing;
     ws.scheduler = &sched;
     auto rw = run_sliced(*f.tree, f.leaves(), f.slices, ws);
     EXPECT_EQ(rw.tasks_run, ref.tasks_run);
@@ -246,16 +352,14 @@ TEST(RunSliced, FusedBitStableUnderWorkStealing) {
   auto stem = tn::extract_stem(*f.tree);
   auto plan = exec::plan_fused(stem, f.slices.to_vector(), 1 << 12);
 
+  SliceScheduler one(1);
   exec::SliceRunOptions serial;
-  serial.executor = exec::SliceExecutor::kInnerPool;
-  ThreadPool pool1(1);
-  serial.pool = &pool1;
+  serial.scheduler = &one;
   serial.fused = &plan;
   auto ref = run_sliced(*f.tree, f.leaves(), f.slices, serial);
 
   SliceScheduler sched(4);
   exec::SliceRunOptions ws;
-  ws.executor = exec::SliceExecutor::kWorkStealing;
   ws.scheduler = &sched;
   ws.fused = &plan;
   auto rw = run_sliced(*f.tree, f.leaves(), f.slices, ws);
@@ -264,13 +368,40 @@ TEST(RunSliced, FusedBitStableUnderWorkStealing) {
   EXPECT_GT(rw.memory.scratch_bytes(), 0.0);
 }
 
+TEST(RunSliced, OneTaskFusedRunSpreadsOverIdleWorkers) {
+  // Unsliced: the whole contraction is one task, and three of four workers
+  // have nothing to do but help with its windows' secondary subtasks.
+  SlicedFixture f{test::small_network(4, 4, 8), nullptr, core::SliceSet{}};
+  f.tree = std::make_shared<tn::ContractionTree>(test::greedy_tree(f.ln.net));
+  auto stem = tn::extract_stem(*f.tree);
+  auto plan = exec::plan_fused(stem, {}, 1 << 10);
+
+  SliceScheduler one(1);
+  exec::SliceRunOptions ro;
+  ro.fused = &plan;
+  ro.scheduler = &one;
+  auto ref = run_sliced(*f.tree, f.leaves(), f.slices, ro);
+  ASSERT_EQ(ref.tasks_run, 1u);
+  ASSERT_GT(ref.memory.ldm_subtasks, 100u);
+
+  SliceScheduler four(4);
+  ro.scheduler = &four;
+  // The helpers must wake within the task's lifetime; retry a few times
+  // so a descheduled helper on a loaded host does not read as a failure.
+  for (int attempt = 0; attempt < 20 && four.helped() == 0; ++attempt) {
+    auto r = run_sliced(*f.tree, f.leaves(), f.slices, ro);
+    ASSERT_TRUE(bitwise_equal(ref.accumulated, r.accumulated)) << "attempt " << attempt;
+    EXPECT_EQ(r.memory.ldm_subtasks, ref.memory.ldm_subtasks);
+  }
+  EXPECT_GT(four.helped(), 0u) << "no idle worker ran a secondary subtask";
+}
+
 TEST(RunSliced, ShardsPartitionTheFullRun) {
   auto f = make_sliced_fixture();
   const uint64_t all = uint64_t(1) << f.slices.size();
 
   SliceScheduler sched(2);
   exec::SliceRunOptions base;
-  base.executor = exec::SliceExecutor::kWorkStealing;
   base.scheduler = &sched;
   auto full = run_sliced(*f.tree, f.leaves(), f.slices, base);
 
@@ -301,7 +432,6 @@ TEST(RunSliced, WindowClampedToTaskRange) {
 
   SliceScheduler sched(2);
   exec::SliceRunOptions base;
-  base.executor = exec::SliceExecutor::kWorkStealing;
   base.scheduler = &sched;
   auto full = run_sliced(*f.tree, f.leaves(), f.slices, base);
   ASSERT_TRUE(full.completed);
@@ -349,7 +479,6 @@ TEST(RunSliced, StatsInvariantsUnderContention) {
   const uint64_t all = uint64_t(1) << f.slices.size();
   SliceScheduler sched(8);  // oversubscribed on purpose
   exec::SliceRunOptions ws;
-  ws.executor = exec::SliceExecutor::kWorkStealing;
   ws.scheduler = &sched;
   auto r = run_sliced(*f.tree, f.leaves(), f.slices, ws);
   EXPECT_TRUE(r.completed);

@@ -1,11 +1,15 @@
-// RNG, thread pool and timer tests.
+// RNG, fork-join and timer tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <numeric>
 #include <set>
 
-#include "util/parallel.hpp"
+#include "exec/gemm.hpp"
+#include "runtime/slice_scheduler.hpp"
+#include "test_helpers.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -58,60 +62,77 @@ TEST(Rng, NormalHasReasonableMoments) {
   EXPECT_NEAR(sq / n, 1.0, 0.05);
 }
 
-TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
-  ThreadPool pool(4);
+// The scheduler's fork-join (SliceScheduler::parallel_for) and the GEMM row
+// split built on it, called from inside a 1-task run so idle workers help.
+using test::in_one_task;
+
+TEST(ForkJoin, ParallelForCoversRangeExactlyOnce) {
+  runtime::SliceScheduler sched(4);
   std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for_each(1000, [&](size_t i) { hits[i]++; });
+  in_one_task(sched, [&] { sched.parallel_for(1000, [&](int, uint64_t i) { hits[i]++; }); });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPool, ChunksPartitionRange) {
-  ThreadPool pool(3);
+TEST(ForkJoin, RowPanelsPartitionRange) {
+  runtime::SliceScheduler sched(3);
   std::mutex mu;
-  std::vector<std::pair<size_t, size_t>> chunks;
-  pool.parallel_for(100, [&](int, size_t b, size_t e) {
-    std::lock_guard<std::mutex> lk(mu);
-    chunks.emplace_back(b, e);
+  std::vector<std::pair<int, int>> panels;
+  // 100 x 64 x 64 is past the split threshold.
+  in_one_task(sched, [&] {
+    exec::for_row_panels(&sched, 100, 64, 64, [&](int, int b, int e) {
+      std::lock_guard<std::mutex> lk(mu);
+      panels.emplace_back(b, e);
+    });
   });
-  std::sort(chunks.begin(), chunks.end());
-  size_t expect = 0;
-  for (auto [b, e] : chunks) {
+  EXPECT_EQ(panels.size(), 3u);
+  std::sort(panels.begin(), panels.end());
+  int expect = 0;
+  for (auto [b, e] : panels) {
     EXPECT_EQ(b, expect);
     EXPECT_GT(e, b);
     expect = e;
   }
-  EXPECT_EQ(expect, 100u);
+  EXPECT_EQ(expect, 100);
 }
 
-TEST(ThreadPool, WorkerIdsWithinBounds) {
-  ThreadPool pool(5);
+TEST(ForkJoin, WorkerIdsWithinBounds) {
+  runtime::SliceScheduler sched(5);
   std::atomic<bool> ok{true};
-  pool.parallel_for(64, [&](int w, size_t, size_t) {
-    if (w < 0 || w >= pool.size()) ok = false;
+  in_one_task(sched, [&] {
+    sched.parallel_for(64, [&](int w, uint64_t) {
+      if (w < 0 || w >= sched.size()) ok = false;
+    });
   });
   EXPECT_TRUE(ok.load());
 }
 
-TEST(ThreadPool, EmptyRangeIsNoop) {
-  ThreadPool pool(2);
+TEST(ForkJoin, EmptyRangeIsNoop) {
+  runtime::SliceScheduler sched(2);
   bool called = false;
-  pool.parallel_for(0, [&](int, size_t, size_t) { called = true; });
+  in_one_task(sched, [&] { sched.parallel_for(0, [&](int, uint64_t) { called = true; }); });
   EXPECT_FALSE(called);
 }
 
-TEST(ThreadPool, ReusableAcrossManyCalls) {
-  ThreadPool pool(4);
+TEST(ForkJoin, ReusableAcrossManyCalls) {
+  runtime::SliceScheduler sched(4);
   for (int round = 0; round < 50; ++round) {
     std::atomic<long> sum{0};
-    pool.parallel_for_each(100, [&](size_t i) { sum += long(i); });
+    in_one_task(sched, [&] { sched.parallel_for(100, [&](int, uint64_t i) { sum += long(i); }); });
     EXPECT_EQ(sum.load(), 4950);
   }
+  // ...and many calls within one task.
+  std::atomic<long> sum{0};
+  in_one_task(sched, [&] {
+    for (int round = 0; round < 50; ++round)
+      sched.parallel_for(100, [&](int, uint64_t i) { sum += long(i); });
+  });
+  EXPECT_EQ(sum.load(), 50 * 4950);
 }
 
-TEST(ThreadPool, SingleWorkerStillWorks) {
-  ThreadPool pool(1);
+TEST(ForkJoin, SingleWorkerStillWorks) {
+  runtime::SliceScheduler sched(1);
   std::vector<int> hits(10, 0);
-  pool.parallel_for_each(10, [&](size_t i) { hits[i]++; });
+  in_one_task(sched, [&] { sched.parallel_for(10, [&](int, uint64_t i) { hits[i]++; }); });
   EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 10);
 }
 
